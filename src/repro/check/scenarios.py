@@ -14,13 +14,6 @@ kernel/IPC machinery under adversarial schedules and storms:
   consumer forever. Exists so the deadlock detector, shrinker and
   bundle replay have a guaranteed failure to chew on (CI asserts the
   shrinker converges on it).
-* ``shard2`` — one topology point run on *two* shard engines under the
-  conservative-window coordinator (:mod:`repro.shard`), with uniform
-  (deterministic-gap) arrivals so same-timestamp events genuinely tie:
-  the schedule controller permutes those tie-breaks, and the S1–S2
-  conservation audit must hold on every explored interleaving. The
-  serial result is *not* compared here — reordering ties legitimately
-  changes which request sheds — only conservation is invariant.
 
 Each scenario carries its own storm-target menu and horizon so
 ``--chaos`` lands faults inside the workload's actual lifetime.
@@ -162,30 +155,6 @@ def _run_lostwake(topo_n: Optional[int]) -> List[str]:
     return []
 
 
-# -- shard2: the sharded coordinator under explored tie-breaks --------------
-
-def _run_shard2(topo_n: Optional[int]) -> List[str]:
-    from repro.shard.runner import run_shard_point
-    from repro.topo import generate
-
-    n = max(topo_n if topo_n is not None else 4, 2)
-    spec = generate("chain_branch", n)
-    kwargs = {
-        "primitive": "dipc", "mode": "open", "policy": "shed",
-        "arrivals": "uniform", "offered_kops": 200.0, "n_clients": 2,
-        "n_conns": 4, "n_workers": 1, "queue_depth": 4,
-        "req_size": 128, "deadline_ns": 20_000.0, "num_cpus": 8,
-        "warmup_ns": 0.0, "window_ns": 0.05 * units.MS, "seed": 42,
-        "topo": spec.to_dict()}
-    info: dict = {}
-    try:
-        run_shard_point(kwargs, shards=2, info_sink=info)
-    except AssertionError:
-        pass  # violations surface below, tagged as findings
-    return [f"invariant: {violation}"
-            for violation in info.get("violations", ())]
-
-
 # -- topostorm: supervised chain under adversarial kill schedules -----------
 
 def _run_topostorm(topo_n: Optional[int]) -> List[str]:
@@ -255,11 +224,6 @@ _register(Scenario(
     processes=(_SERVER_PROCESS,),
     thread_prefixes=(_WORKER_PREFIX,),
     horizon_ns=12_000.0))
-_register(Scenario(
-    name="shard2", run=_run_shard2,
-    processes=(_SERVER_PROCESS,),
-    thread_prefixes=(_WORKER_PREFIX,),
-    horizon_ns=0.1 * units.MS, default_n=4))
 _register(Scenario(
     name="lostwake", run=_run_lostwake,
     processes=(_SERVER_PROCESS,),

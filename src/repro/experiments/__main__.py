@@ -23,13 +23,7 @@ One verb, orthogonal flags:
   ``--out``;
 * ``--chaos`` arms a deterministic fault storm (``repro.fault``,
   seeded by ``--seed``) against every kernel the experiment builds,
-  and prints the injection summary after the figure;
-* ``--shards N`` (fig10 only) partitions every topology point across
-  N shard engines with conservative time-window sync (``repro.shard``)
-  — the rendered figure is byte-identical for any shard count. It
-  composes with ``--chaos`` (seeded service-outage storms, in-process
-  transport) and with ``--resume`` (per-shard mid-window checkpoints
-  under ``--cache-dir``).
+  and prints the injection summary after the figure.
 
 ``--trace``/``--chaos`` attach to kernels built *in this process*, so
 either flag forces the serial path (a note is printed when ``--jobs``
@@ -45,11 +39,11 @@ same seed, and exits non-zero on any invariant violation.
 
 ``python -m repro.experiments bench [--quick] [--jobs N] [--out DIR]
 [--label L]`` times the quick suite cold-serial, cold-parallel and
-warm-cached, an engine micro-benchmark, and one sharded mesh-12 point
-(1 shard vs min(4, cpu_count)); it writes ``DIR/BENCH_PR8.json`` and
-appends the payload to the ``bench/results/`` history. ``bench
---compare [--tolerance F]`` diffs the two newest history entries and
-exits non-zero on a regression beyond the tolerance.
+warm-cached, plus an engine micro-benchmark; it writes
+``DIR/BENCH_PR8.json`` and appends the payload to the
+``bench/results/`` history. ``bench --compare [--tolerance F]`` diffs
+the two newest history entries and exits non-zero on a regression
+beyond the tolerance.
 
 ``python -m repro.experiments check <target> [--schedules N] [--seed S]
 [--chaos] [--strategy random|perturb] [--jobs N] [--shrink] [--out DIR]
@@ -296,52 +290,6 @@ def _run_bench_cli(args) -> int:
                            label=args.label)
 
 
-def _run_fig10_shards_cli(args) -> int:
-    """Run fig10 with every topology point sharded across N engines.
-
-    The sharded coordinator (repro.shard) parallelizes *inside* one
-    simulation point, so the figure itself runs serially in this
-    process; checkpoints land under --cache-dir and ``--resume`` picks
-    up a killed sweep mid-window. Output is byte-identical to the
-    unsharded path.
-    """
-    from repro.experiments import fig10_topo
-    from repro.runner.points import execute_spec
-    from repro.shard import runner as shard_runner
-
-    start = time.time()
-    print(f"\n{'=' * 78}\nfig10 --shards {args.shards}\n{'=' * 78}")
-    specs = fig10_topo.points(
-        shards=args.shards,
-        **fig10_topo.Fig10Driver.cli_params(args.quick))
-    os.makedirs(args.cache_dir, exist_ok=True)
-    shard_runner.POINT_CHECKPOINT.update(
-        {"dir": args.cache_dir, "resume": args.resume})
-    try:
-        if args.chaos:
-            from repro.fault.session import ChaosSession
-            with ChaosSession(seed=args.seed) as chaos_session:
-                results = [execute_spec(spec) for spec in specs]
-            print(fig10_topo.assemble(specs, results))
-            print(chaos_session.summary())
-            violations = chaos_session.audit_kernels()
-            if violations:
-                for violation in violations:
-                    print(f"VIOLATION: {violation}")
-                print(f"chaos audit: FAILED "
-                      f"({len(violations)} violation(s))")
-                return 1
-            print("chaos audit: all invariants held")
-        else:
-            results = [execute_spec(spec) for spec in specs]
-            print(fig10_topo.assemble(specs, results))
-    finally:
-        shard_runner.POINT_CHECKPOINT.update(
-            {"dir": None, "resume": False})
-    print(f"\n[fig10 took {time.time() - start:.1f}s]")
-    return 0
-
-
 def _run_chaos_cli(seed: int, storms: int, quick: bool,
                    out_dir: str, jobs: int = 0) -> int:
     """Run fault storms; write the injection log; non-zero on failure."""
@@ -381,12 +329,6 @@ def main(argv=None) -> int:
                              "and compute them on N worker processes "
                              "(also enables the result cache); "
                              "0 = original serial path (default)")
-    parser.add_argument("--shards", type=int, default=0,
-                        help="fig10 only: partition every topology "
-                             "point across N shard engines with "
-                             "conservative time-window sync "
-                             "(repro.shard); the rendered figure is "
-                             "byte-identical for any shard count")
     parser.add_argument("--trace", action="store_true",
                         help="record a span trace of the (single) "
                              "experiment; artifacts go to --out")
@@ -512,27 +454,6 @@ def main(argv=None) -> int:
             print(f"unknown experiment '{name}' "
                   f"(choose from {', '.join(RUNNERS)})", file=sys.stderr)
             return 2
-
-    # -- sharded fig10 (PDES-lite): parallelism inside one point -------
-    if args.shards:
-        if names != ["fig10"]:
-            print("--shards applies to the fig10 topology sweep only "
-                  f"(got: {', '.join(names)})", file=sys.stderr)
-            return 2
-        if args.trace or args.supervise:
-            print("--shards composes with --chaos only; --trace and "
-                  "--supervise attach to single-engine kernels",
-                  file=sys.stderr)
-            return 2
-        if args.resume and args.chaos:
-            print("--resume cannot be combined with --chaos",
-                  file=sys.stderr)
-            return 2
-        if args.jobs > 0:
-            print("note: --shards parallelizes inside each point; "
-                  "running points serially (--jobs ignored)",
-                  file=sys.stderr)
-        return _run_fig10_shards_cli(args)
 
     # -- orthogonal flags ----------------------------------------------
     if args.resume and (args.chaos or args.supervise or args.trace):

@@ -1,13 +1,10 @@
 """The ``bench`` verb: timing harness + append-only results history.
 
-``python -m repro.experiments bench`` times four things:
+``python -m repro.experiments bench`` times two things:
 
 * the quick point suite cold-serial, cold-parallel and warm-cached
   (the PR-3 harness, unchanged semantics);
-* the bare engine micro-loop (events/sec);
-* one sharded mesh-12 topology point through :mod:`repro.shard` at 1
-  shard vs ``min(4, cpu_count)`` shards — the PDES-lite speedup gate —
-  including a byte-identity check between the two results.
+* the bare engine micro-loop (events/sec).
 
 The payload is written twice: ``BENCH_PR8.json`` under ``--out`` (the
 CI artifact) and an append-only copy under :data:`HISTORY_DIR`
@@ -21,12 +18,11 @@ and exits non-zero when a gated metric regressed by more than
 ``--tolerance`` (default 10%): engine events/sec down, cold-serial or
 warm-cached ms/point up.
 
-Verdicts are honest about the host: with ``cpu_count == 1`` neither
-process pool can speed anything up, so the cold-parallel *leg is not
-run at all* (its verdict reads ``skipped (single-cpu host)`` and
-``cold_parallel_s`` is recorded as null) and the shard verdict reads
-the same — instead of spending minutes to report a misleading ~1x as
-a regression.
+Verdicts are honest about the host: with ``cpu_count == 1`` a process
+pool cannot speed anything up, so the cold-parallel *leg is not run at
+all* (its verdict reads ``skipped (single-cpu host)`` and
+``cold_parallel_s`` is recorded as null) instead of spending minutes to
+report a misleading ~1x as a regression.
 """
 
 from __future__ import annotations
@@ -55,9 +51,6 @@ _GATES = (
 #: a pure-percentage gate would flap on filesystem noise
 _EPSILON_MS = 0.25
 
-#: the shard-bench acceptance floor (ISSUE 8): >=3x at 4 shards
-SHARD_SPEEDUP_FLOOR = 3.0
-
 
 def engine_events_per_sec(n: int = 200_000, repeats: int = 3) -> float:
     """Post-and-fire throughput of the bare event loop (events/sec).
@@ -80,80 +73,6 @@ def engine_events_per_sec(n: int = 200_000, repeats: int = 3) -> float:
         best = max(best, engine.events_processed
                    / (time.perf_counter() - start))
     return best
-
-
-# -- the sharded-coordinator benchmark --------------------------------------
-
-
-def _shard_point_kwargs(quick: bool) -> dict:
-    """One saturated mesh-12 point, sized so per-window work amortizes
-    the cross-process barrier (high concurrency, long window)."""
-    from repro import units
-    from repro.topo import generate
-    spec = generate("mesh", 12, width=3, seed=3)
-    return {
-        "primitive": "socket", "mode": "open", "policy": "shed",
-        "arrivals": "poisson",
-        "offered_kops": 4_000.0 if quick else 12_000.0,
-        "n_clients": 64, "n_conns": 256, "n_workers": 64,
-        "queue_depth": 128, "req_size": 128,
-        "deadline_ns": 2.0 * units.MS, "num_cpus": 8,
-        "warmup_ns": 0.2 * units.MS,
-        "window_ns": (1.0 if quick else 2.0) * units.MS,
-        "seed": 42, "topo": spec.to_dict()}
-
-
-def shard_bench(quick: bool) -> dict:
-    """Time one mesh-12 point serial (1 shard) vs sharded; verify the
-    results are byte-identical; return the payload fragment."""
-    from repro.shard.runner import run_shard_point
-
-    cpu = os.cpu_count() or 1
-    shards = min(4, cpu) if cpu > 1 else 2
-    kwargs = _shard_point_kwargs(quick)
-
-    start = time.perf_counter()
-    serial = run_shard_point(dict(kwargs), shards=1)
-    serial_s = time.perf_counter() - start
-
-    info: dict = {}
-    start = time.perf_counter()
-    sharded = run_shard_point(
-        dict(kwargs), shards=shards,
-        mode="processes" if cpu > 1 else "inprocess", info_sink=info)
-    sharded_s = time.perf_counter() - start
-
-    identical = json.dumps(serial, sort_keys=True) == \
-        json.dumps(sharded, sort_keys=True)
-    speedup = serial_s / sharded_s if sharded_s else None
-    if cpu == 1:
-        verdict = "skipped (single-cpu host)"
-    elif cpu >= 4 and shards >= 4:
-        verdict = (f"{'PASS' if speedup >= SHARD_SPEEDUP_FLOOR else 'FAIL'} "
-                   f"({speedup:.2f}x at {shards} shards, floor "
-                   f"{SHARD_SPEEDUP_FLOOR:.0f}x)")
-    else:
-        verdict = (f"{speedup:.2f}x at {shards} shards on a {cpu}-cpu "
-                   f"host (the 3x gate needs >= 4 cores)")
-    print(f"shard bench (mesh-12, {info.get('events', 0)} events, "
-          f"{info.get('windows', 0)} windows, transport "
-          f"{info.get('transport')}): serial {serial_s:.1f}s, "
-          f"{shards} shards {sharded_s:.1f}s -> {verdict}")
-    if not identical:
-        print("ERROR: sharded result diverged from single-shard",
-              file=sys.stderr)
-    return {
-        "shard_scenario": "mesh-12",
-        "shard_shards": shards,
-        "shard_serial_s": round(serial_s, 3),
-        "shard_parallel_s": round(sharded_s, 3),
-        "shard_speedup": round(speedup, 3) if speedup else None,
-        "shard_windows": info.get("windows"),
-        "shard_events": info.get("events"),
-        "shard_transport": info.get("transport"),
-        "shard_results_identical": identical,
-        "shard_verdict": verdict,
-    }
 
 
 # -- the history ------------------------------------------------------------
@@ -201,7 +120,6 @@ def _normalized(payload: dict) -> dict:
         value = payload.get(key)
         view[key[:-2] + "_ms_per_point"] = \
             None if value is None else value / points * 1e3
-    view["shard_speedup"] = payload.get("shard_speedup")
     return view
 
 
@@ -266,8 +184,8 @@ def compare(history_dir: str = HISTORY_DIR,
 def run_bench(quick: bool, jobs: int, out_dir: str, *,
               label: str = "pr8",
               history_dir: str = HISTORY_DIR) -> int:
-    """Time the suite + engine + shard coordinator; write
-    ``BENCH_PR8.json`` and append the history entry."""
+    """Time the suite + engine; write ``BENCH_PR8.json`` and append
+    the history entry."""
     import platform
     import tempfile
 
@@ -317,10 +235,9 @@ def run_bench(quick: bool, jobs: int, out_dir: str, *,
         parallel_verdict = (f"{speedup:.2f}x across {jobs} jobs on "
                             f"{cpu} cpus")
     print(f"cold-parallel verdict: {parallel_verdict}")
-    shard = shard_bench(quick)
 
     payload = {
-        "bench_version": 2,
+        "bench_version": 3,
         "mode": "quick" if quick else "full",
         "jobs": jobs,
         "points": len(specs),
@@ -339,7 +256,6 @@ def run_bench(quick: bool, jobs: int, out_dir: str, *,
         "platform": platform.platform(),
         "cpu_count": cpu,
     }
-    payload.update(shard)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "BENCH_PR8.json")
     with open(path, "w") as handle:
@@ -351,7 +267,5 @@ def run_bench(quick: bool, jobs: int, out_dir: str, *,
     if not identical:
         print("ERROR: serial/parallel/cached results diverged",
               file=sys.stderr)
-        return 1
-    if not shard["shard_results_identical"]:
         return 1
     return 0

@@ -76,19 +76,13 @@ def scenario_spec(name: str) -> TopoSpec:
 
 def points(*, scenarios: Tuple[str, ...] = None, rungs=RUNGS,
            reps: int = REPS, window_ns: float = 2.0 * units.MS,
-           warmup_ns: float = 1.0 * units.MS, seed: int = 42,
-           shards: int = None) -> list:
-    """``shards`` routes every point through :mod:`repro.shard`'s
-    conservative-window coordinator; the partition hash joins the
-    kwargs so repartitioning invalidates exactly the cached points it
-    affects. ``shards=None`` keeps the original single-engine path."""
+           warmup_ns: float = 1.0 * units.MS, seed: int = 42) -> list:
     from repro.runner.points import PointSpec
     names = [s[0] for s in SCENARIOS] if scenarios is None \
         else list(scenarios)
     specs = []
     for name in names:
-        spec = scenario_spec(name)
-        topo = spec.to_dict()
+        topo = scenario_spec(name).to_dict()
         for primitive in PRIMITIVES:
             for kops in rungs:
                 for rep in range(reps):
@@ -100,31 +94,15 @@ def points(*, scenarios: Tuple[str, ...] = None, rungs=RUNGS,
                         "window_ns": window_ns,
                         "warmup_ns": warmup_ns,
                         "seed": seed + 101 * rep, "topo": topo})
-                    if shards is not None:
-                        from repro.shard.partition import partition_spec
-                        kwargs["shards"] = int(shards)
-                        kwargs["partition_hash"] = partition_spec(
-                            spec, int(shards),
-                            seed=seed + 101 * rep).partition_hash()
                     specs.append(PointSpec("fig10", __name__, kwargs))
     return specs
 
 
 def compute_point(**kwargs) -> dict:
+    from repro.load import LoadParams, run_load_point
     scenario = kwargs.pop("scenario")
     rep = kwargs.pop("rep")
-    if "shards" in kwargs:
-        from repro.shard.runner import POINT_CHECKPOINT, run_shard_point
-        shards = kwargs.pop("shards")
-        kwargs.pop("partition_hash")
-        point = run_shard_point(
-            kwargs, shards=shards,
-            checkpoint_dir=POINT_CHECKPOINT["dir"],
-            resume=POINT_CHECKPOINT["resume"],
-            checkpoint_every=POINT_CHECKPOINT["every"])
-    else:
-        from repro.load import LoadParams, run_load_point
-        point = run_load_point(LoadParams(**kwargs)).to_point()
+    point = run_load_point(LoadParams(**kwargs)).to_point()
     point["scenario"] = scenario
     point["rep"] = rep
     return point

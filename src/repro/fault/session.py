@@ -52,9 +52,6 @@ class ChaosSession:
         self.min_rules = min_rules
         self.max_rules = max_rules
         self.injectors: List[FaultInjector] = []
-        #: sharded runs (repro.shard) that armed a seeded outage storm
-        #: inside this session: (summary dict, audit violations)
-        self.shard_runs: List[tuple] = []
 
     # -- context management ------------------------------------------------
 
@@ -91,15 +88,6 @@ class ChaosSession:
         injector.arm()
         self.injectors.append(injector)
 
-    def register_shard_run(self, summary: dict,
-                           violations: List[str]) -> None:
-        """Record one sharded point's outage storm and its S1–S2
-        conservation audit (called by
-        :func:`repro.shard.runner.run_shard_point`); the violations
-        surface through :meth:`audit_kernels` so ``--chaos --shards``
-        runs fail exactly like kernel-storm runs."""
-        self.shard_runs.append((summary, violations))
-
     # -- post-run audit ----------------------------------------------------
 
     def audit_kernels(self) -> List[str]:
@@ -123,10 +111,6 @@ class ChaosSession:
                                        allowed_crashes=ALLOWED_CRASHES)
             violations.extend(f"kernel {index}: {violation}"
                               for violation in auditor.audit())
-        for index, (_summary, shard_violations) in \
-                enumerate(self.shard_runs):
-            violations.extend(f"shard run {index}: {violation}"
-                              for violation in shard_violations)
         return violations
 
     # -- results -----------------------------------------------------------
@@ -144,12 +128,6 @@ class ChaosSession:
         return render_log(self.records)
 
     def summary(self) -> str:
-        line = (f"chaos: {len(self.injectors)} kernel(s) stormed, "
+        return (f"chaos: {len(self.injectors)} kernel(s) stormed, "
                 f"{self.total_injections} injection(s) fired "
                 f"(seed {self.seed})")
-        if self.shard_runs:
-            crashes = sum(summary.get("crashes", 0)
-                          for summary, _v in self.shard_runs)
-            line += (f"; {len(self.shard_runs)} sharded run(s) "
-                     f"stormed, {crashes} service crash(es)")
-        return line

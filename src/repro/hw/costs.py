@@ -255,8 +255,7 @@ class CostModel:
 
     def dipc_call_leg_ns(self) -> float:
         """User stub + trusted-proxy work of one dIPC call direction —
-        the request leg the shard model charges on a cut edge, and the
-        CPU-side window a DMA offload can hide its transfer behind."""
+        the CPU-side window a DMA offload can hide its transfer behind."""
         return (self.STUB_REG_SAVE + self.STUB_REG_ZERO
                 + self.STUB_STACK_CAPS + self.PROXY_MIN_CALL
                 + self.PROXY_STACK_SWITCH + self.PROXY_DCS_ADJUST

@@ -3,9 +3,8 @@
 This module is also the **single registration site** for isolation
 primitives: every mechanism declares itself once, at the bottom, via
 :func:`repro.primitives.register_primitive` — transport class, topology
-hop class, capability flags and the analytic shard-leg costs — and the
-load harness, topo engine, shard model and figure drivers all pick it
-up from the registry.
+hop class and capability flags — and the load harness, topo engine and
+figure drivers all pick it up from the registry.
 
 Each transport builds a server pool (``n_workers`` threads in a
 ``load-server`` process, except dIPC — see below) plus the per-client
@@ -56,7 +55,6 @@ from __future__ import annotations
 from repro import primitives
 from repro.errors import (DipcError, KernelError, PeerResetError,
                           ProtectionFault)
-from repro.ipc.dpti import copy_gate_ns
 from repro.ipc.l4 import L4Endpoint
 from repro.ipc.pipe import Pipe
 from repro.ipc.rpc import RpcClient, RpcServer
@@ -563,95 +561,35 @@ class DptiTransport(Transport):
 
 # ---------------------------------------------------------------------------
 # Registration: the single place isolation primitives are declared.
-#
-# The shard model's cut-edge leg costs live here too, next to the
-# transports whose behaviour they abstract (hop-granularity one-way
-# latencies; see repro/shard/costs.py for how they become lookahead).
 # ---------------------------------------------------------------------------
-
-
-def _pipe_request_leg(costs, cache, size):
-    return (2.0 * costs.USER_STUB + 2.0 * costs.syscall_empty()
-            + costs.PIPE_WRITE_WORK + costs.PIPE_READ_WORK
-            + 2.0 * cache.copy_ns(size))
-
-
-def _socket_request_leg(costs, cache, size):
-    return (2.0 * costs.USER_STUB + 2.0 * costs.syscall_empty()
-            + costs.SOCK_SEND_WORK + costs.SOCK_RECV_WORK
-            + 2.0 * cache.copy_ns(size))
-
-
-def _rpc_request_leg(costs, cache, size):
-    # socket transport plus XDR (un)marshalling and the client/server
-    # library halves of one direction
-    return (_socket_request_leg(costs, cache, size)
-            + 2.0 * costs.XDR_BASE + cache.copy_ns(size)
-            + (costs.RPC_CLIENT_USER + costs.RPC_SERVER_USER) / 2.0)
-
-
-def _l4_request_leg(costs, cache, size):
-    return (2.0 * costs.L4_USER_STUB + costs.L4_KERNEL_PATH
-            + costs.L4_DIRECT_SWITCH + cache.copy_ns(size))
-
-
-def _dipc_request_leg(costs, cache, size):
-    # call direction of the dIPC+proc High decomposition — arguments
-    # travel by capability, so there is no per-byte copy term
-    return costs.dipc_call_leg_ns()
-
-
-def _dipc_reply_leg(costs, cache, size):
-    return costs.dipc_return_leg_ns()
-
-
-def _dpti_request_leg(costs, cache, size):
-    return costs.dpti_call_leg_ns() + copy_gate_ns(costs, cache, size)
-
-
-def _dpti_reply_leg(costs, cache, size):
-    return costs.dpti_return_leg_ns() + copy_gate_ns(costs, cache, size)
-
-
-def _odipc_request_leg(costs, cache, size):
-    ns = costs.dipc_call_leg_ns()
-    if size >= costs.OFFLOAD_THRESHOLD:
-        ns += costs.offload_copy_ns(size)
-    return ns
-
 
 _POOLED = primitives.Capabilities()          # worker pool, untrusted
 _TRUSTED = primitives.Capabilities(
-    trusted=True, in_process=True,
-    has_worker_threads=False, bounded_capacity=False)
+    trusted=True, in_process=True, has_worker_threads=False)
 _INLINE = primitives.Capabilities(           # in-process but untrusted
-    trusted=False, in_process=True,
-    has_worker_threads=False, bounded_capacity=False)
+    trusted=False, in_process=True, has_worker_threads=False)
 
 primitives.register_primitive(
     "pipe", PipeTransport, "repro.topo.instantiate:_PipeHop",
-    _POOLED, request_leg=_pipe_request_leg)
+    _POOLED)
 primitives.register_primitive(
     "socket", SocketTransport, "repro.topo.instantiate:_SocketHop",
-    _POOLED, request_leg=_socket_request_leg)
+    _POOLED)
 primitives.register_primitive(
     "rpc", RpcTransport, "repro.topo.instantiate:_RpcHop",
-    _POOLED, request_leg=_rpc_request_leg)
+    _POOLED)
 primitives.register_primitive(
     "l4", L4Transport, "repro.topo.instantiate:_L4Hop",
-    _POOLED, request_leg=_l4_request_leg)
+    _POOLED)
 primitives.register_primitive(
     "dipc", DipcTransport, "repro.topo.instantiate:_DipcHop",
-    _TRUSTED, request_leg=_dipc_request_leg,
-    reply_leg=_dipc_reply_leg)
+    _TRUSTED)
 primitives.register_primitive(
     "dpti", DptiTransport, "repro.topo.instantiate:_DptiHop",
-    _INLINE, request_leg=_dpti_request_leg,
-    reply_leg=_dpti_reply_leg)
+    _INLINE)
 primitives.register_primitive(
     "odipc", OdipcTransport, "repro.topo.instantiate:_OdipcHop",
-    _TRUSTED, request_leg=_odipc_request_leg,
-    reply_leg=_dipc_reply_leg)
+    _TRUSTED)
 
 #: registered primitive names, in registration order (kept as a module
 #: attribute for the many figure drivers and tests that sweep it)

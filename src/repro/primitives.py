@@ -4,8 +4,8 @@ Every IPC mechanism the reproduction models — the paper's five
 (pipe/socket/rpc/l4/dipc) plus the bracketing mechanisms from the
 related work (dpti, odipc) — is declared exactly once, as a
 :class:`PrimitiveSpec`, in ``repro.load.transports``.  The load
-harness, the topology engine, the shard cost model and the figure
-drivers all query this registry instead of keeping parallel hardcoded
+harness, the topology engine and the figure drivers all query this
+registry instead of keeping parallel hardcoded
 tuples, so a new mechanism registers once and shows up everywhere.
 
 Capability flags replace the scattered ``primitive == "dipc"`` string
@@ -21,20 +21,13 @@ comparisons that used to gate behaviour at each call site:
 ``has_worker_threads``
     the server spawns a worker pool that the load harness must size,
     supervise and respawn.
-``bounded_capacity``
-    concurrent in-service requests are limited by the worker pool (the
-    shard model gives such primitives a finite station capacity).
-
-The spec also carries the analytic cut-edge leg costs the PDES shard
-model uses for lookahead (``request_leg`` / ``reply_leg``), so
-``repro.shard.costs`` needs no per-primitive if-chain either.
 """
 
 from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 
 @dataclass(frozen=True)
@@ -44,11 +37,6 @@ class Capabilities:
     trusted: bool = False
     in_process: bool = False
     has_worker_threads: bool = True
-    bounded_capacity: bool = True
-
-
-#: leg-cost callable: ``(costs, cache, size) -> ns`` for one direction
-LegCost = Callable[[object, object, int], float]
 
 #: a class, or a lazy ``"module:attr"`` reference resolved on first use
 ClassRef = Union[type, str]
@@ -71,11 +59,6 @@ class PrimitiveSpec:
     transport_ref: ClassRef
     hop_ref: ClassRef
     capabilities: Capabilities
-    #: analytic cost of one request crossing a shard cut edge
-    request_leg: Optional[LegCost] = None
-    #: analytic cost of the matching reply leg; when ``None`` the
-    #: request leg is reused at the reply size
-    reply_leg: Optional[LegCost] = None
     _transport_cls: Optional[type] = field(default=None, repr=False)
     _hop_cls: Optional[type] = field(default=None, repr=False)
 
@@ -100,17 +83,14 @@ _REGISTRY: dict = {}
 def register_primitive(name: str,
                        transport_cls: Optional[ClassRef] = None,
                        hop_cls: Optional[ClassRef] = None,
-                       capabilities: Optional[Capabilities] = None,
-                       *,
-                       request_leg: Optional[LegCost] = None,
-                       reply_leg: Optional[LegCost] = None):
+                       capabilities: Optional[Capabilities] = None):
     """Register an isolation primitive.
 
     Usable directly::
 
         register_primitive("pipe", PipeTransport,
                            "repro.topo.instantiate:_PipeHop",
-                           Capabilities(), request_leg=_pipe_leg)
+                           Capabilities())
 
     or as a class decorator (``transport_cls`` omitted)::
 
@@ -136,8 +116,7 @@ def register_primitive(name: str,
                     f"say {caps.has_worker_threads!r}")
         _REGISTRY[name] = PrimitiveSpec(
             name=name, transport_ref=cls, hop_ref=hop_cls,
-            capabilities=caps, request_leg=request_leg,
-            reply_leg=reply_leg)
+            capabilities=caps)
         return cls
 
     if transport_cls is None:

@@ -12,9 +12,8 @@ Hot-path notes (``benchmarks/test_engine_micro.py`` keeps the floor):
 
 * :meth:`Event.__lt__` compares fields directly instead of building two
   tuples per heap comparison;
-* :meth:`Engine.run` inlines the pop/fire loop (no per-event
-  :meth:`step` call) and skips the count-trigger heap peek entirely
-  while no triggers are armed;
+* :meth:`Engine.run` inlines the pop/fire loop and skips the
+  count-trigger heap peek entirely while no triggers are armed;
 * popped events are recycled through a freelist when — and only when —
   no outside reference to the handle survives (checked via
   ``sys.getrefcount``), cutting allocator churn in long OLTP runs
@@ -37,13 +36,11 @@ _FREELIST_MAX = 512
 class Event:
     """A scheduled callback. Returned by :meth:`Engine.post` for cancelling."""
 
-    __slots__ = ("time", "seq", "key", "fn", "cancelled", "popped")
+    __slots__ = ("time", "seq", "fn", "cancelled", "popped")
 
-    def __init__(self, time: float, seq: int, fn: Callable[[], None],
-                 key=None):
+    def __init__(self, time: float, seq: int, fn: Callable[[], None]):
         self.time = time
         self.seq = seq
-        self.key = key
         self.fn = fn
         self.cancelled = False
         self.popped = False
@@ -53,10 +50,6 @@ class Event:
         # directly avoids allocating two tuples per comparison
         if self.time != other.time:
             return self.time < other.time
-        k1 = self.key
-        k2 = other.key
-        if k1 is not None and k2 is not None and k1 != k2:
-            return k1 < k2
         return self.seq < other.seq
 
     def __repr__(self) -> str:
@@ -100,24 +93,16 @@ class Engine:
 
     # -- scheduling ----------------------------------------------------------
 
-    def post(self, delay_ns: float, fn: Callable[[], None],
-             key=None) -> Event:
+    def post(self, delay_ns: float, fn: Callable[[], None]) -> Event:
         """Schedule ``fn()`` to run ``delay_ns`` from now.
 
-        ``key`` (any orderable value, normally a tuple) overrides the
-        posting-order tie-break between same-timestamp events: two keyed
-        events at one timestamp fire in key order regardless of which
-        was posted first. A key makes the event order a pure function of
-        simulation *content*, which is what lets a partitioned run
-        (``repro.shard``) replay the exact serial order even though
-        shards post the same events in different sequences.
+        Events posted for the same timestamp fire in posting order.
         """
         if delay_ns < 0:
             raise SimulationError(f"cannot post event in the past ({delay_ns})")
-        return self.post_at(self._now + delay_ns, fn, key=key)
+        return self.post_at(self._now + delay_ns, fn)
 
-    def post_at(self, time_ns: float, fn: Callable[[], None],
-                key=None) -> Event:
+    def post_at(self, time_ns: float, fn: Callable[[], None]) -> Event:
         """Schedule ``fn()`` at absolute simulated time ``time_ns``."""
         if time_ns < self._now:
             raise SimulationError(
@@ -127,12 +112,11 @@ class Engine:
             event = self._freelist.pop()
             event.time = time_ns
             event.seq = self._seq
-            event.key = key
             event.fn = fn
             event.cancelled = False
             event.popped = False
         else:
-            event = Event(time_ns, self._seq, fn, key)
+            event = Event(time_ns, self._seq, fn)
         self._seq += 1
         heapq.heappush(self._queue, event)
         return event
@@ -193,7 +177,6 @@ class Engine:
         references left (CPython refcounting makes that check exact).
         """
         event.fn = None
-        event.key = None
         if len(self._freelist) < _FREELIST_MAX and getrefcount(event) <= 3:
             self._freelist.append(event)
 
@@ -205,26 +188,6 @@ class Engine:
         return event
 
     # -- running -------------------------------------------------------------
-
-    def step(self) -> bool:
-        """Run the next pending event. Returns False if the queue is empty."""
-        while self._queue:
-            event = self._pop()
-            if event.cancelled:
-                self._retire(event)
-                continue
-            self._now = event.time
-            self.events_processed += 1
-            fn = event.fn
-            self._retire(event)
-            fn()
-            while self._count_triggers and \
-                    self._count_triggers[0][0] <= self.events_processed:
-                _count, _seq, trigger_fn = heapq.heappop(
-                    self._count_triggers)
-                trigger_fn()
-            return True
-        return False
 
     def run(self, until_ns: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
@@ -285,121 +248,6 @@ class Engine:
             self._check_drained()
         finally:
             self._running = False
-
-    def run_window(self, end_ns: float) -> int:
-        """Process every event strictly before ``end_ns``; advance to it.
-
-        The conservative-PDES run loop (``repro.shard``): a shard is
-        granted the half-open window ``[now, end_ns)`` and must stop
-        *before* ``end_ns`` because messages from other shards may still
-        land exactly at the window boundary. On return the clock sits at
-        ``end_ns`` even if the local queue drained early, so every shard
-        agrees on where the next window starts. Returns the number of
-        events processed. Unlike :meth:`run`, a window stop is never a
-        true drain, so the deadlock detector is not consulted.
-        """
-        if self._running:
-            raise SimulationError("engine.run_window() is not reentrant")
-        if end_ns < self._now:
-            raise SimulationError(
-                f"window end {end_ns} before now ({self._now})")
-        self._running = True
-        try:
-            if self.controller is not None:
-                processed = self._run_window_controlled(end_ns)
-            else:
-                queue = self._queue
-                triggers = self._count_triggers
-                heappop = heapq.heappop
-                processed = 0
-                while queue:
-                    event = queue[0]
-                    if event.cancelled:
-                        heappop(queue)
-                        event.popped = True
-                        self._cancelled_in_queue -= 1
-                        self._retire(event)
-                        continue
-                    if event.time >= end_ns:
-                        break
-                    heappop(queue)
-                    event.popped = True
-                    self._now = event.time
-                    self.events_processed += 1
-                    fn = event.fn
-                    self._retire(event)
-                    fn()
-                    processed += 1
-                    if triggers:
-                        while triggers and \
-                                triggers[0][0] <= self.events_processed:
-                            _count, _seq, trigger_fn = heappop(triggers)
-                            trigger_fn()
-            if end_ns > self._now:
-                self._now = end_ns
-            return processed
-        finally:
-            self._running = False
-
-    def _run_window_controlled(self, end_ns: float) -> int:
-        """:meth:`run_window` with schedule exploration enabled.
-
-        Same strict ``< end_ns`` bound; every same-timestamp tie-break
-        among live events becomes a recorded decision point, exactly as
-        in :meth:`_run_controlled`.
-        """
-        queue = self._queue
-        triggers = self._count_triggers
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        controller = self.controller
-        processed = 0
-        while queue:
-            head = queue[0]
-            if head.cancelled:
-                heappop(queue)
-                head.popped = True
-                self._cancelled_in_queue -= 1
-                self._retire(head)
-                continue
-            if head.time >= end_ns:
-                break
-            batch = [heappop(queue)]
-            now_ns = batch[0].time
-            while queue and queue[0].time == now_ns:
-                event = heappop(queue)
-                if event.cancelled:
-                    event.popped = True
-                    self._cancelled_in_queue -= 1
-                    self._retire(event)
-                    continue
-                batch.append(event)
-            if len(batch) > 1:
-                choice = controller.choose("event", len(batch))
-                event = batch.pop(choice)
-                for other in batch:
-                    heappush(queue, other)  # key/seq preserved: stable
-            else:
-                event = batch[0]
-            event.popped = True
-            self._now = now_ns
-            self.events_processed += 1
-            fn = event.fn
-            self._retire(event)
-            fn()
-            processed += 1
-            while triggers and triggers[0][0] <= self.events_processed:
-                _count, _seq, trigger_fn = heappop(triggers)
-                trigger_fn()
-        return processed
-
-    def next_event_time(self) -> Optional[float]:
-        """Timestamp of the earliest live event, or None when drained.
-
-        The shard coordinator polls this between windows to derive the
-        global lower bound that the next window's end is lifted from.
-        """
-        return self._next_live_time()
 
     def _check_drained(self) -> None:
         """Run the deadlock detector when the queue has fully drained.
@@ -482,8 +330,8 @@ class Engine:
     def _next_live_time(self) -> Optional[float]:
         """Timestamp of the earliest non-cancelled queued event.
 
-        Discards cancelled heads through the same ``_pop``/``_retire``
-        path as ``run()``/``step()``, so ``_cancelled_in_queue`` stays
+        Discards cancelled heads through ``_pop``/``_retire`` (the same
+        bookkeeping ``run()`` inlines), so ``_cancelled_in_queue`` stays
         exact no matter how often the clamp path re-enters here between
         cancels and prunes (see
         ``tests/sim/test_engine.py::test_clamp_cancel_interleaving``).

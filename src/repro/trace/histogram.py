@@ -108,45 +108,6 @@ class LatencyHistogram:
         self.minimum = min(self.minimum, other.minimum)
         self.maximum = max(self.maximum, other.maximum)
 
-    # -- state (cross-process merge) ----------------------------------------
-
-    def to_state(self) -> Dict:
-        """JSON-serializable snapshot, exact under a JSON round-trip.
-
-        ``json`` emits floats via ``repr`` so ``sum_ns`` (and the
-        min/max) survive bit-for-bit — merging shard histograms shipped
-        through a pipe as JSON therefore yields *byte-identical* stats
-        to an in-process merge. Empty histograms encode min/max as
-        ``None`` (infinities are not JSON).
-        """
-        return {
-            "geometry": {
-                "buckets_per_decade": self.buckets_per_decade,
-                "min_ns": self.min_ns,
-                "decades": self.decades,
-            },
-            "counts": [[index, count]
-                       for index, count in enumerate(self.counts) if count],
-            "count": self.count,
-            "sum_ns": self.sum_ns,
-            "minimum": self.minimum if self.count else None,
-            "maximum": self.maximum if self.count else None,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict) -> "LatencyHistogram":
-        """Rebuild a histogram from :meth:`to_state` output."""
-        hist = cls(**state["geometry"])
-        for index, count in state["counts"]:
-            hist.counts[index] = count
-        hist.count = state["count"]
-        hist.sum_ns = state["sum_ns"]
-        hist.minimum = (math.inf if state["minimum"] is None
-                        else state["minimum"])
-        hist.maximum = (-math.inf if state["maximum"] is None
-                        else state["maximum"])
-        return hist
-
     # -- statistics ---------------------------------------------------------
 
     @property

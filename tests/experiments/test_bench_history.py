@@ -98,6 +98,16 @@ def test_compare_ignores_sub_epsilon_warm_wobble(tmp_path):
     assert bench.compare(history_dir=d) == 0
 
 
+def test_compare_ignores_retired_shard_speedup(tmp_path, capsys):
+    # entries up to 0003-pr8 carry shard_* keys; newer ones do not
+    d = str(tmp_path)
+    bench.append_history(_entry(shard_speedup=0.81), "old",
+                         history_dir=d)
+    bench.append_history(_entry(), "new", history_dir=d)
+    assert bench.compare(history_dir=d) == 0
+    assert "shard_speedup" not in capsys.readouterr().out
+
+
 def test_seeded_repo_history_is_loadable():
     entries = bench.history_entries()
     names = [name for name, _payload in entries]

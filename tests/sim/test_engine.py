@@ -120,10 +120,6 @@ def test_max_events_budget():
     assert fired == [0, 1]
 
 
-def test_step_returns_false_on_empty_queue():
-    assert Engine().step() is False
-
-
 def test_events_processed_counter():
     engine = Engine()
     for i in range(3):
@@ -225,8 +221,8 @@ def _bookkeeping_exact(engine):
 
 
 def test_clamp_cancel_interleaving():
-    """_next_live_time, run(), step() and _prune() share the cancelled-
-    event accounting; interleaving them must keep it exact."""
+    """_next_live_time, run() and _prune() share the cancelled-event
+    accounting; interleaving them must keep it exact."""
     engine = Engine()
     fired = []
     events = [engine.post(10 * (i + 1), lambda i=i: fired.append(i))
@@ -244,7 +240,7 @@ def test_clamp_cancel_interleaving():
     assert _bookkeeping_exact(engine)
     engine.run(until_ns=95, max_events=0)  # clamp again: head t=90 live
     assert engine.now() == 90
-    assert engine.step()                   # fires 8 (t=90)
+    engine.run(max_events=1)               # fires 8 (t=90)
     assert fired == [5, 6, 7, 8]
     for event in events[30:]:              # push past the prune threshold
         engine.cancel(event)

@@ -1,65 +1,6 @@
-"""Window-bounded execution and content-keyed tie-breaks (PDES-lite)."""
+"""Tie-breaks between events that fall due at the same instant."""
 
-import pytest
-
-from repro.errors import SimulationError
 from repro.sim.engine import Engine
-
-
-def test_run_window_strict_upper_bound():
-    engine = Engine()
-    fired = []
-    for t in (1.0, 2.0, 3.0, 4.0):
-        engine.post_at(t, lambda t=t: fired.append(t))
-    processed = engine.run_window(3.0)
-    assert fired == [1.0, 2.0]  # 3.0 is NOT inside [now, 3.0)
-    assert processed == 2
-    assert engine.now() == 3.0
-
-
-def test_run_window_advances_clock_when_queue_drains_early():
-    engine = Engine()
-    engine.post_at(1.0, lambda: None)
-    engine.run_window(50.0)
-    assert engine.now() == 50.0
-    # the next window may start exactly at the previous end
-    engine.run_window(50.0)
-    assert engine.now() == 50.0
-
-
-def test_run_window_rejects_past_end():
-    engine = Engine()
-    engine.post_at(10.0, lambda: None)
-    engine.run_window(20.0)
-    with pytest.raises(SimulationError):
-        engine.run_window(5.0)
-
-
-def test_run_window_events_posted_inside_window_fire():
-    engine = Engine()
-    fired = []
-
-    def chain():
-        fired.append(engine.now())
-        if engine.now() < 4.0:
-            engine.post(1.0, chain)
-
-    engine.post_at(1.0, chain)
-    engine.run_window(3.5)
-    assert fired == [1.0, 2.0, 3.0]
-    # the 4.0 event parked beyond the window fires in the next one
-    engine.run_window(10.0)
-    assert fired == [1.0, 2.0, 3.0, 4.0]
-
-
-def test_keyed_ties_fire_in_key_order_not_posting_order():
-    engine = Engine()
-    fired = []
-    engine.post_at(5.0, lambda: fired.append("b"), key=(1, (0, 1)))
-    engine.post_at(5.0, lambda: fired.append("a"), key=(0, (0, 1)))
-    engine.post_at(5.0, lambda: fired.append("c"), key=(2, (0, 1)))
-    engine.run()
-    assert fired == ["a", "b", "c"]
 
 
 def test_unkeyed_ties_keep_posting_order():
@@ -69,33 +10,3 @@ def test_unkeyed_ties_keep_posting_order():
         engine.post(5.0, lambda n=name: fired.append(n))
     engine.run()
     assert fired == list("abc")
-
-
-def test_keyed_vs_unkeyed_tie_falls_back_to_seq():
-    engine = Engine()
-    fired = []
-    engine.post_at(5.0, lambda: fired.append("unkeyed"))
-    engine.post_at(5.0, lambda: fired.append("keyed"), key=(0, (0,)))
-    engine.run()
-    assert fired == ["unkeyed", "keyed"]
-
-
-def test_next_event_time_skips_cancelled():
-    engine = Engine()
-    handle = engine.post_at(3.0, lambda: None)
-    engine.post_at(7.0, lambda: None)
-    assert engine.next_event_time() == 3.0
-    engine.cancel(handle)
-    assert engine.next_event_time() == 7.0
-
-
-def test_key_cleared_on_freelist_reuse():
-    engine = Engine()
-    fired = []
-    engine.post_at(1.0, lambda: fired.append("x"), key=(9, (1,)))
-    engine.run_window(2.0)
-    # the retired event's slot must not leak its key into this one
-    for name in "ab":
-        engine.post(1.0, lambda n=name: fired.append(n))
-    engine.run_window(5.0)
-    assert fired == ["x", "a", "b"]

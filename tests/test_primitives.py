@@ -16,16 +16,16 @@ def test_capability_flags_partition_the_mechanisms():
     for name in ("pipe", "socket", "rpc", "l4"):
         caps = primitives.get(name).capabilities
         assert not caps.trusted and not caps.in_process
-        assert caps.has_worker_threads and caps.bounded_capacity
-    # the trusted bracket: in-process, no pools, unbounded
+        assert caps.has_worker_threads
+    # the trusted bracket: in-process, no pools
     for name in ("dipc", "odipc"):
         caps = primitives.get(name).capabilities
         assert caps.trusted and caps.in_process
-        assert not caps.has_worker_threads and not caps.bounded_capacity
+        assert not caps.has_worker_threads
     # dpti: in-process but untrusted (it still traps into the kernel)
     caps = primitives.get("dpti").capabilities
     assert not caps.trusted and caps.in_process
-    assert not caps.has_worker_threads and not caps.bounded_capacity
+    assert not caps.has_worker_threads
 
 
 def test_flag_filtering_and_baselines():
@@ -108,13 +108,3 @@ def test_decorator_form_registers_and_returns_the_class():
     finally:
         primitives._REGISTRY.pop("__deco__", None)
 
-
-def test_shard_legs_come_from_the_registry():
-    from repro.hw.cache import CacheModel
-    from repro.hw.costs import CostModel
-    costs, cache = CostModel.default(), CacheModel()
-    spec = primitives.get("dipc")
-    assert spec.request_leg(costs, cache, 128) == \
-        pytest.approx(costs.dipc_call_leg_ns())
-    assert spec.reply_leg(costs, cache, 8) == \
-        pytest.approx(costs.dipc_return_leg_ns())
