@@ -1,8 +1,9 @@
 """Session-scoped concurrency checking.
 
-``CheckSession`` follows the :class:`repro.fault.session.ChaosSession`
-attach pattern: while a session is active, every
-:class:`repro.kernel.Kernel` constructed anywhere inside it gets
+``CheckSession`` is a :class:`repro.session.Session` with an ``attach``
+hook, like :class:`repro.fault.session.ChaosSession`: while a session
+is active, every :class:`repro.kernel.Kernel` constructed anywhere
+inside it gets
 
 * the session's :class:`~repro.check.controller.ScheduleController`
   installed on its engine (ready-queue picks and same-timestamp event
@@ -21,7 +22,7 @@ replays exactly.
 from __future__ import annotations
 
 import random
-from typing import ClassVar, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro import units
 from repro.check.controller import ScheduleController
@@ -30,12 +31,11 @@ from repro.fault.injector import FaultInjector
 from repro.fault.plan import FaultPlan
 from repro.fault.session import (DEFAULT_PROCESSES,
                                  DEFAULT_THREAD_PREFIXES)
+from repro.session import Session
 
 
-class CheckSession:
+class CheckSession(Session):
     """Instrument every kernel built inside ``with`` for checking."""
-
-    _active: ClassVar[Optional["CheckSession"]] = None
 
     def __init__(self, strategy, *, chaos: bool = False,
                  storm_seed: int = 7,
@@ -58,27 +58,6 @@ class CheckSession:
         self.plan_overrides = plan_overrides
         self.kernels: List = []
         self.injectors: List[FaultInjector] = []
-
-    # -- context management ------------------------------------------------
-
-    def __enter__(self) -> "CheckSession":
-        if CheckSession._active is not None:
-            raise RuntimeError("a CheckSession is already active")
-        CheckSession._active = self
-        return self
-
-    def __exit__(self, *exc) -> None:
-        CheckSession._active = None
-
-    @classmethod
-    def current(cls) -> Optional["CheckSession"]:
-        return cls._active
-
-    @classmethod
-    def maybe_attach(cls, kernel) -> None:
-        """Called from ``Kernel.__init__``; no-op without a session."""
-        if cls._active is not None:
-            cls._active.attach(kernel)
 
     # -- wiring ------------------------------------------------------------
 

@@ -30,12 +30,11 @@ either flag forces the serial path (a note is printed when ``--jobs``
 is also given).
 
 The bare form ``python -m repro.experiments [names...]`` is shorthand
-for ``run``. The old ``trace <name>`` and ``chaos`` subcommands keep
-working as deprecated aliases (a warning goes to stderr):
-``trace <name>`` is ``run <name> --trace``; ``chaos --seed N
---storms K`` runs the standalone storm harness, writes the injection
-log to ``--out``/chaos.log, verifies the log is byte-identical for the
-same seed, and exits non-zero on any invariant violation.
+for ``run``. The ``chaos`` subcommand keeps working as a deprecated
+alias (a warning goes to stderr): ``chaos --seed N --storms K`` runs
+the standalone storm harness, writes the injection log to
+``--out``/chaos.log, verifies the log is byte-identical for the same
+seed, and exits non-zero on any invariant violation.
 
 ``python -m repro.experiments bench [--quick] [--jobs N] [--out DIR]
 [--label L]`` times the quick suite cold-serial, cold-parallel and
@@ -319,9 +318,8 @@ def main(argv=None) -> int:
                              "'all'; 'bench' times the point runner; "
                              "'check <target>' explores interleavings; "
                              "'conformance' sweeps the kill-point "
-                             "recovery matrix; 'trace <name>' and "
-                             "'chaos' are deprecated aliases for "
-                             "--trace / the storm harness")
+                             "recovery matrix; 'chaos' is a deprecated "
+                             "alias for the storm harness")
     parser.add_argument("--quick", action="store_true",
                         help="smaller iteration counts / windows")
     parser.add_argument("--jobs", type=int, default=0,
@@ -435,16 +433,7 @@ def main(argv=None) -> int:
               "storms any experiment", file=sys.stderr)
         return _run_chaos_cli(args.seed, args.storms, args.quick,
                               args.out, jobs=args.jobs)
-    if names[0] == "trace":
-        if len(names) != 2:
-            print("usage: python -m repro.experiments trace <experiment>",
-                  file=sys.stderr)
-            return 2
-        print("warning: 'trace <name>' is deprecated; use "
-              "'run <name> --trace'", file=sys.stderr)
-        args.trace = True
-        names = names[1:]
-    elif names[0] == "run":
+    if names[0] == "run":
         names = names[1:] or ["all"]
 
     names = [_normalize(name) for name in names]

@@ -1,7 +1,7 @@
 """Session-scoped chaos: fault storms as an orthogonal CLI flag.
 
-``ChaosSession`` mirrors :class:`repro.trace.tracer.TraceSession`'s
-attach pattern: while a session is active (``with ChaosSession(...)``),
+``ChaosSession`` is a :class:`repro.session.Session` with an
+``attach`` hook: while a session is active (``with ChaosSession(...)``),
 every :class:`repro.kernel.Kernel` constructed anywhere inside it gets
 a deterministic fault storm armed against it — which is what lets the
 experiments CLI compose ``--chaos`` with any figure instead of having
@@ -23,21 +23,20 @@ session is active.
 from __future__ import annotations
 
 import random
-from typing import ClassVar, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro import units
 from repro.fault.injector import FaultInjector
 from repro.fault.plan import FaultPlan, InjectionRecord, render_log
+from repro.session import Session
 
 #: default victim menu: the repro.load server pool
 DEFAULT_PROCESSES = ("load-server",)
 DEFAULT_THREAD_PREFIXES = ("load-server/w",)
 
 
-class ChaosSession:
+class ChaosSession(Session):
     """Arm a seeded fault storm on every kernel built inside ``with``."""
-
-    _active: ClassVar[Optional["ChaosSession"]] = None
 
     def __init__(self, *, seed: int = 7,
                  processes: Sequence[str] = DEFAULT_PROCESSES,
@@ -52,27 +51,6 @@ class ChaosSession:
         self.min_rules = min_rules
         self.max_rules = max_rules
         self.injectors: List[FaultInjector] = []
-
-    # -- context management ------------------------------------------------
-
-    def __enter__(self) -> "ChaosSession":
-        if ChaosSession._active is not None:
-            raise RuntimeError("a ChaosSession is already active")
-        ChaosSession._active = self
-        return self
-
-    def __exit__(self, *exc) -> None:
-        ChaosSession._active = None
-
-    @classmethod
-    def current(cls) -> Optional["ChaosSession"]:
-        return cls._active
-
-    @classmethod
-    def maybe_attach(cls, kernel) -> None:
-        """Called from ``Kernel.__init__``; no-op without a session."""
-        if cls._active is not None:
-            cls._active.attach(kernel)
 
     # -- storm wiring ------------------------------------------------------
 

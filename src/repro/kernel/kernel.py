@@ -16,9 +16,7 @@ from repro.codoms.access import AccessEngine
 from repro.codoms.apl import APLRegistry
 from repro.codoms.aplcache import APLCache
 from repro.codoms.tags import TagAllocator
-from repro.check.session import CheckSession
 from repro.errors import DeadProcessError
-from repro.fault.session import ChaosSession
 from repro.hw.machine import Machine
 from repro.kernel.libraries import LibraryRegistry
 from repro.kernel.process import Process
@@ -28,7 +26,7 @@ from repro.mem.addrspace import AddressSpace
 from repro.mem.gvas import GlobalVAS
 from repro.mem.pagetable import PageTable
 from repro.mem.phys import PhysicalMemory
-from repro.trace.tracer import TraceSession
+from repro.session import KERNEL_HOOKS
 
 
 class Kernel:
@@ -39,13 +37,12 @@ class Kernel:
         self.machine = machine if machine is not None else Machine(num_cpus)
         self.costs = self.machine.costs
         self.engine = self.machine.engine
-        # inside an active TraceSession, every kernel records spans
-        TraceSession.maybe_attach(self)
-        # inside an active ChaosSession, every kernel gets a fault storm
-        ChaosSession.maybe_attach(self)
-        # inside an active CheckSession, every kernel is explored:
-        # schedule controller + deadlock detector + optional storm
-        CheckSession.maybe_attach(self)
+        # active sessions instrument every kernel built inside them: a
+        # TraceSession records spans, a ChaosSession arms a fault storm,
+        # a CheckSession installs its schedule controller + deadlock
+        # detector (+ optional storm)
+        for session in KERNEL_HOOKS:
+            session.attach(self)
         self.phys = PhysicalMemory(total_frames=256 * units.MB
                                    // units.PAGE_SIZE)
         self.scheduler = Scheduler(self)

@@ -11,8 +11,8 @@ the simulated kernel, through a bounded admission gate with *shed* or
 
 * :mod:`repro.load.arrivals` — seeded per-client arrival processes;
 * :mod:`repro.load.queueing` — the admission gate and request deadline;
-* :mod:`repro.load.transports` — the five primitives behind one
-  ``build() / call()`` interface;
+* :mod:`repro.load.transports` — one ``Channel`` class per registered
+  primitive, and the single-hop transport that owns one channel;
 * :mod:`repro.load.harness` — :func:`run_load_point`, the measurement
   loop that ``fig09_load`` decomposes into parallel-runner points.
 """

@@ -3,10 +3,11 @@
 Every IPC mechanism the reproduction models — the paper's five
 (pipe/socket/rpc/l4/dipc) plus the bracketing mechanisms from the
 related work (dpti, odipc) — is declared exactly once, as a
-:class:`PrimitiveSpec`, in ``repro.load.transports``.  The load
-harness, the topology engine and the figure drivers all query this
-registry instead of keeping parallel hardcoded
-tuples, so a new mechanism registers once and shows up everywhere.
+:class:`PrimitiveSpec` naming its one channel class, in
+``repro.load.transports``. The load harness, the topology engine and
+the figure drivers all query this registry instead of keeping parallel
+hardcoded tuples, so a new mechanism registers once and shows up
+everywhere.
 
 Capability flags replace the scattered ``primitive == "dipc"`` string
 comparisons that used to gate behaviour at each call site:
@@ -26,8 +27,8 @@ comparisons that used to gate behaviour at each call site:
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -38,90 +39,61 @@ class Capabilities:
     in_process: bool = False
     has_worker_threads: bool = True
 
-#: a class, or a lazy ``"module:attr"`` reference resolved on first use
-ClassRef = Union[type, str]
-
-
-def _resolve(ref: ClassRef) -> type:
-    if isinstance(ref, str):
-        module_name, _, attr = ref.partition(":")
-        if not attr:
-            raise ValueError(f"class reference {ref!r} is not 'module:attr'")
-        return getattr(importlib.import_module(module_name), attr)
-    return ref
-
 
 @dataclass
 class PrimitiveSpec:
     """One registered isolation mechanism."""
 
     name: str
-    transport_ref: ClassRef
-    hop_ref: ClassRef
+    channel_cls: type
     capabilities: Capabilities
-    _transport_cls: Optional[type] = field(default=None, repr=False)
-    _hop_cls: Optional[type] = field(default=None, repr=False)
 
-    def transport(self) -> type:
-        """The ``repro.load`` transport class (resolved lazily)."""
-        if self._transport_cls is None:
-            self._transport_cls = _resolve(self.transport_ref)
-        return self._transport_cls
-
-    def hop(self) -> type:
-        """The ``repro.topo`` hop class (resolved lazily — hop classes
-        live in ``repro.topo.instantiate``, which must stay importable
-        without dragging in the load layer and vice versa)."""
-        if self._hop_cls is None:
-            self._hop_cls = _resolve(self.hop_ref)
-        return self._hop_cls
+    def channel(self) -> type:
+        """The :class:`repro.load.transports.Channel` subclass that
+        wires one caller → callee link over this primitive (the
+        single-hop transport and every topology edge alike)."""
+        return self.channel_cls
 
 
 _REGISTRY: dict = {}
 
 
-def register_primitive(name: str,
-                       transport_cls: Optional[ClassRef] = None,
-                       hop_cls: Optional[ClassRef] = None,
+def register_primitive(name: str, channel_cls: Optional[type] = None,
                        capabilities: Optional[Capabilities] = None):
     """Register an isolation primitive.
 
     Usable directly::
 
-        register_primitive("pipe", PipeTransport,
-                           "repro.topo.instantiate:_PipeHop",
-                           Capabilities())
+        register_primitive("pipe", PipeChannel, Capabilities())
 
-    or as a class decorator (``transport_cls`` omitted)::
+    or as a class decorator (``channel_cls`` omitted)::
 
-        @register_primitive("pipe", hop_cls=..., capabilities=...)
-        class PipeTransport(Transport): ...
+        @register_primitive("pipe", capabilities=Capabilities())
+        class PipeChannel(Channel): ...
     """
     caps = capabilities if capabilities is not None else Capabilities()
 
-    def _register(cls: ClassRef):
+    def _register(cls: type):
         if name in _REGISTRY:
             raise ValueError(f"primitive {name!r} is already registered")
-        if isinstance(cls, type):
-            for attr in ("build", "call", "rebuild_pool"):
-                if not hasattr(cls, attr):
-                    raise TypeError(
-                        f"transport class {cls.__name__} for {name!r} "
-                        f"lacks required attribute {attr!r}")
-            declared = getattr(cls, "has_worker_threads", True)
-            if bool(declared) != caps.has_worker_threads:
-                raise ValueError(
-                    f"primitive {name!r}: transport class declares "
-                    f"has_worker_threads={declared!r} but capabilities "
-                    f"say {caps.has_worker_threads!r}")
-        _REGISTRY[name] = PrimitiveSpec(
-            name=name, transport_ref=cls, hop_ref=hop_cls,
-            capabilities=caps)
+        for attr in ("build", "call", "worker_body"):
+            if not hasattr(cls, attr):
+                raise TypeError(
+                    f"channel class {cls.__name__} for {name!r} "
+                    f"lacks required attribute {attr!r}")
+        declared = getattr(cls, "has_worker_threads", True)
+        if bool(declared) != caps.has_worker_threads:
+            raise ValueError(
+                f"primitive {name!r}: channel class declares "
+                f"has_worker_threads={declared!r} but capabilities "
+                f"say {caps.has_worker_threads!r}")
+        _REGISTRY[name] = PrimitiveSpec(name=name, channel_cls=cls,
+                                        capabilities=caps)
         return cls
 
-    if transport_cls is None:
+    if channel_cls is None:
         return _register
-    _register(transport_cls)
+    _register(channel_cls)
     return _REGISTRY[name]
 
 

@@ -1,29 +1,29 @@
 """Session object that switches the load harness into recovery mode.
 
-Mirrors :class:`repro.fault.session.ChaosSession`: a context manager
-with a class-level "current session" that :func:`repro.load.harness.
-run_load_point` consults. While a :class:`RecoverySession` is active,
-every load point runs with supervision and circuit breakers on
-(``supervise=True``, ``breaker=True``), and the session collects each
-kernel's :class:`~repro.recovery.supervisor.Supervisor` so the CLI can
-print one summary line and fail the run on any A9 reclamation
-violation.
+A :class:`repro.session.Session` like
+:class:`repro.fault.session.ChaosSession`, whose "current session"
+:func:`repro.load.harness.run_load_point` consults. While a
+:class:`RecoverySession` is active, every load point runs with
+supervision and circuit breakers on (``supervise=True``,
+``breaker=True``), and the session collects each kernel's
+:class:`~repro.recovery.supervisor.Supervisor` so the CLI can print
+one summary line and fail the run on any A9 reclamation violation.
 
-Unlike ChaosSession it never attaches to kernels directly — the harness
-registers the supervisor/transport pair it builds per point.
+Unlike ChaosSession it has no ``attach`` hook, so it never touches
+kernels directly — the harness registers the supervisor/transport pair
+it builds per point.
 """
 
 from __future__ import annotations
 
-from typing import ClassVar, List, Optional
+from typing import List, Optional
 
 from repro.recovery.supervisor import RestartPolicy
+from repro.session import Session
 
 
-class RecoverySession:
+class RecoverySession(Session):
     """Force supervision + breakers on for every load point inside."""
-
-    _active: ClassVar[Optional["RecoverySession"]] = None
 
     def __init__(self, *, seed: int = 7,
                  policy: Optional[RestartPolicy] = None):
@@ -31,21 +31,6 @@ class RecoverySession:
         self.policy = policy
         self.supervisors: List = []
         self.transports: List = []
-
-    # -- context management --------------------------------------------------
-
-    def __enter__(self) -> "RecoverySession":
-        if RecoverySession._active is not None:
-            raise RuntimeError("a RecoverySession is already active")
-        RecoverySession._active = self
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        RecoverySession._active = None
-
-    @classmethod
-    def current(cls) -> Optional["RecoverySession"]:
-        return cls._active
 
     # -- harness wiring ------------------------------------------------------
 

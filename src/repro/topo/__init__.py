@@ -19,10 +19,10 @@ Three layers:
   hierarchical tree, probabilistic tree, complex mesh);
 * :mod:`repro.topo.instantiate` — :class:`TopoTransport`, which
   materializes a spec onto a kernel as one domain per service with
-  every hop over a chosen primitive (dIPC vs pipe/socket/rpc/l4),
-  behind the PR-4 transport ``build()``/``call()`` API so the whole
-  fig9 load harness (open/closed loops, shedding, supervision,
-  breakers, chaos) drives topologies unchanged.
+  one channel per edge over a chosen primitive (dIPC vs
+  pipe/socket/rpc/l4), behind the load transport ``build()``/``call()``
+  API so the whole fig9 load harness (open/closed loops, shedding,
+  supervision, breakers, chaos) drives topologies unchanged.
 
 :mod:`repro.topo.stats` adds the repetition-aware statistics (mean and
 Student-t confidence intervals across seeded reps) the fig10 report

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional
 
+from repro.session import Session
 from repro.trace.counters import CounterSet, harvest_kernel_counters
 
 
@@ -192,50 +193,22 @@ class Tracer:
                 f"instants={len(self.instants)}>")
 
 
-class TraceSession:
+class TraceSession(Session):
     """Collects the tracers of every kernel built while it is active.
 
     The micro-benchmarks construct one fresh kernel per primitive; a
     session stitches those independent simulations into a single
-    exportable trace. Only one session can be active at a time. Entering
-    the session arms :meth:`maybe_attach`, which ``Kernel.__init__``
-    calls; exiting disarms it (already-attached tracers keep recording).
+    exportable trace. Only one session can be active at a time. While
+    it is active, ``Kernel.__init__`` calls :meth:`attach` (the
+    :data:`repro.session.KERNEL_HOOKS` list); exiting disarms it
+    (already-attached tracers keep recording).
     """
-
-    _current: Optional["TraceSession"] = None
 
     def __init__(self):
         self._serial = itertools.count(1)
         #: (kernel, tracer) pairs in attach order
         self.runs: List[tuple] = []
         self._finalized = False
-
-    # -- activation ---------------------------------------------------------
-
-    def __enter__(self) -> "TraceSession":
-        if TraceSession._current is not None:
-            raise RuntimeError("a TraceSession is already active")
-        TraceSession._current = self
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        TraceSession._current = None
-
-    @classmethod
-    def current(cls) -> Optional["TraceSession"]:
-        return cls._current
-
-    @classmethod
-    def maybe_attach(cls, kernel) -> Optional[Tracer]:
-        """Attach a live tracer to ``kernel`` if a session is active.
-
-        Called from ``Kernel.__init__``; a no-op (returning None) when no
-        session is running, which is the default untraced path.
-        """
-        session = cls._current
-        if session is None:
-            return None
-        return session.attach(kernel)
 
     def attach(self, kernel, label: str = "") -> Tracer:
         tracer = Tracer(kernel.engine,

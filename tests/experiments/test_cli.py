@@ -78,9 +78,10 @@ def test_cli_chaos_writes_log_and_verifies(tmp_path, capsys):
     assert log.startswith("# chaos seed=3 storms=1 quick=1\n")
 
 
-def test_cli_trace_requires_experiment_name(capsys):
-    assert main(["trace"]) == 2
-    assert "usage" in capsys.readouterr().err
+def test_cli_trace_alias_is_gone(capsys):
+    # ``trace <name>`` was an alias of ``run <name> --trace``
+    assert main(["trace", "fig05"]) == 2
+    assert "unknown experiment 'trace'" in capsys.readouterr().err
 
 
 def test_cli_trace_flag_records_one_experiment_only(capsys):
@@ -92,10 +93,9 @@ def test_cli_trace_fig5_writes_artifacts(tmp_path, capsys):
     import csv
     import json
 
-    assert main(["trace", "fig05", "--quick", "--out", str(tmp_path)]) == 0
-    captured = capsys.readouterr()
-    out = captured.out
-    assert "deprecated" in captured.err
+    assert main(["run", "fig05", "--trace", "--quick",
+                 "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
     assert "perfetto" in out
     assert "dipc.proxy_calls" in out
 

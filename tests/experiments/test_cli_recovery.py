@@ -41,14 +41,6 @@ def test_chaos_alias_warns_on_stderr_not_stdout(tmp_path, capsys):
     assert "deprecated" not in captured.out  # machine-read stdout stays clean
 
 
-def test_trace_alias_warns_on_stderr_not_stdout(tmp_path, capsys):
-    assert main(["trace", "table1", "--quick",
-                 "--out", str(tmp_path)]) == 0
-    captured = capsys.readouterr()
-    assert "deprecated" in captured.err
-    assert "deprecated" not in captured.out
-
-
 @pytest.mark.parametrize("conflict", ["--chaos", "--supervise", "--trace"])
 def test_resume_conflicts_with_in_process_sessions(conflict, capsys):
     assert main(["run", "fig5", "--quick", "--resume", conflict]) == 2

@@ -44,26 +44,23 @@ def test_unknown_primitive_raises_keyerror_naming_options():
 
 def test_lazy_refs_resolve_to_live_classes():
     for spec in primitives.specs():
-        transport = spec.transport()
-        assert callable(getattr(transport, "build"))
-        hop = spec.hop()
-        assert callable(getattr(hop, "call"))
+        channel = spec.channel()
+        assert callable(getattr(channel, "build"))
+        assert callable(getattr(channel, "call"))
 
 
 def test_duplicate_registration_rejected():
     spec = primitives.get("pipe")
     with pytest.raises(ValueError, match="already registered"):
-        register_primitive("pipe", spec.transport(), spec.hop_ref,
-                           spec.capabilities)
+        register_primitive("pipe", spec.channel(), spec.capabilities)
 
 
 def test_transport_class_must_look_like_a_transport():
-    class NotATransport:
+    class NotAChannel:
         pass
 
     with pytest.raises(TypeError, match="build"):
-        register_primitive("__bogus__", NotATransport, None,
-                           Capabilities())
+        register_primitive("__bogus__", NotAChannel, Capabilities())
     assert "__bogus__" not in primitives.names()
 
 
@@ -77,20 +74,20 @@ def test_worker_thread_declaration_must_match_capabilities():
         def call(self):
             pass
 
-        def rebuild_pool(self):
+        def worker_body(self):
             pass
 
     with pytest.raises(ValueError, match="has_worker_threads"):
-        register_primitive("__bogus2__", Inline, None,
+        register_primitive("__bogus2__", Inline,
                            Capabilities(has_worker_threads=True))
     assert "__bogus2__" not in primitives.names()
 
 
 def test_decorator_form_registers_and_returns_the_class():
-    @register_primitive("__deco__", hop_cls=None,
+    @register_primitive("__deco__",
                         capabilities=Capabilities(
                             has_worker_threads=False))
-    class DecoTransport:
+    class DecoChannel:
         has_worker_threads = False
 
         def build(self):
@@ -99,12 +96,11 @@ def test_decorator_form_registers_and_returns_the_class():
         def call(self):
             pass
 
-        def rebuild_pool(self):
+        def worker_body(self):
             pass
 
     try:
-        assert DecoTransport.__name__ == "DecoTransport"
-        assert primitives.get("__deco__").transport() is DecoTransport
+        assert DecoChannel.__name__ == "DecoChannel"
+        assert primitives.get("__deco__").channel() is DecoChannel
     finally:
         primitives._REGISTRY.pop("__deco__", None)
-
