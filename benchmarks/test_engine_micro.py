@@ -5,9 +5,9 @@ regression here taxes the whole suite. The floor below is deliberately
 conservative, but ratcheted: the optimized loop sustains ~1.3M
 events/sec on a 1-vCPU container and BENCH_PR6.json recorded ~2.6M on
 an unloaded host, so 500k events/sec leaves 2.6–5x headroom for machine
-noise while still catching a real hot-path regression (e.g.
-reintroducing the tuple build in ``Event.__lt__``). The old 150k floor
-predated the PR-3/PR-6 hot loop and no longer enforced progress.
+noise while still catching a real hot-path regression (e.g. a heap
+entry compared by a Python ``__lt__`` instead of in C). The old 150k
+floor predated the PR-3/PR-6 hot loop and no longer enforced progress.
 """
 
 import time

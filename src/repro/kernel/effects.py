@@ -28,7 +28,7 @@ class Charge:
         if ns < 0:
             raise ValueError(f"negative charge: {ns}")
         self.ns = ns
-        self.block = Block(block)
+        self.block = block
 
     def __repr__(self) -> str:
         return f"<Charge {self.ns}ns {self.block.name}>"

@@ -116,7 +116,7 @@ class Scheduler:
         return min(range(len(self.runqueues)), key=load)
 
     def _is_cache_hot(self, thread: Thread) -> bool:
-        last_ran = getattr(thread, "last_ran", None)
+        last_ran = thread.last_ran
         if last_ran is None:
             return False
         return (self.engine.now() - last_ran) < \
@@ -210,98 +210,123 @@ class Scheduler:
         return None
 
     def _advance(self, cpu, thread: Thread) -> None:
-        """Pull and interpret the thread's next effect."""
-        if cpu.current is not thread or thread.state != thread_mod.RUNNING:
-            return  # stale continuation (thread was killed)
-        if thread.pending_charge is not None:
-            ns, block = thread.pending_charge
-            thread.pending_charge = None
-            self._do_charge(cpu, thread, ns, block)
-            return
-        try:
-            if getattr(thread, "killed", False):
-                effect = thread.gen.throw(
-                    _ThreadKilled(f"{thread.name} killed"))
-            elif thread.pending_exception is not None:
-                injected = thread.pending_exception
-                thread.pending_exception = None
-                effect = thread.gen.throw(injected)
-            else:
-                value = thread.next_send_value
-                thread.next_send_value = None
-                effect = thread.gen.send(value)
-        except StopIteration as stop:
-            thread.result = stop.value
-            self._finish(cpu, thread, None)
-            return
-        except _ThreadKilled:
-            self._finish(cpu, thread, None)
-            return
-        except BaseException as exc:  # a simulated crash, not a sim bug
-            self._finish(cpu, thread, exc)
-            return
-        if isinstance(effect, Charge):
-            self._do_charge(cpu, thread, effect.ns, effect.block)
-        elif isinstance(effect, BlockThread):
-            thread.state = thread_mod.BLOCKED
-            thread.block_reason = effect.reason
-            thread.cpu = None
-            thread.last_ran = self.engine.now()
-            self._end_run_span(thread)
-            self._dispatch(cpu)
-        elif isinstance(effect, Handoff):
-            target = effect.to
-            if target.state != thread_mod.BLOCKED:
-                self._finish(cpu, thread, SimulationError(
-                    f"handoff to non-blocked thread {target.name}"))
-                return
-            if target.pin is not None and target.pin != cpu.index:
-                self._finish(cpu, thread, SimulationError(
-                    f"handoff to {target.name} pinned to CPU{target.pin}"))
-                return
-            thread.state = thread_mod.BLOCKED
-            thread.block_reason = f"handoff:{target.name}"
-            thread.cpu = None
-            thread.last_ran = self.engine.now()
-            self._end_run_span(thread)
-            target.next_send_value = effect.value
-            self._begin_run(cpu, target, 0.0)
-        elif isinstance(effect, YieldCPU):
-            runqueue = self.runqueues[cpu.index]
-            if runqueue:
-                thread.state = thread_mod.RUNNABLE
-                runqueue.append(thread)
-                self._dispatch(cpu)
-            else:
-                self.engine.post(0, lambda: self._advance(cpu, thread))
-        else:
-            self._finish(cpu, thread, TypeError(
-                f"{thread.name} yielded a non-effect: {effect!r}"))
+        """Pull and interpret the thread's next effects.
 
-    def _do_charge(self, cpu, thread: Thread, ns: float, block) -> None:
+        Keeps going while each Charge completes inline (see
+        :meth:`_do_charge`); every other effect ends the engine event.
+        """
+        while True:
+            if cpu.current is not thread \
+                    or thread.state != thread_mod.RUNNING:
+                return  # stale continuation (thread was killed)
+            if thread.pending_charge is not None:
+                ns, block = thread.pending_charge
+                thread.pending_charge = None
+                if self._do_charge(cpu, thread, ns, block):
+                    continue
+                return
+            try:
+                if thread.killed:
+                    effect = thread.gen.throw(
+                        _ThreadKilled(f"{thread.name} killed"))
+                elif thread.pending_exception is not None:
+                    injected = thread.pending_exception
+                    thread.pending_exception = None
+                    effect = thread.gen.throw(injected)
+                else:
+                    value = thread.next_send_value
+                    thread.next_send_value = None
+                    effect = thread.gen.send(value)
+            except StopIteration as stop:
+                thread.result = stop.value
+                self._finish(cpu, thread, None)
+                return
+            except _ThreadKilled:
+                self._finish(cpu, thread, None)
+                return
+            except BaseException as exc:  # a simulated crash, not a sim bug
+                self._finish(cpu, thread, exc)
+                return
+            if isinstance(effect, Charge):
+                if self._do_charge(cpu, thread, effect.ns, effect.block):
+                    continue
+            elif isinstance(effect, BlockThread):
+                thread.state = thread_mod.BLOCKED
+                thread.block_reason = effect.reason
+                thread.cpu = None
+                thread.last_ran = self.engine.now()
+                self._end_run_span(thread)
+                self._dispatch(cpu)
+            elif isinstance(effect, Handoff):
+                target = effect.to
+                if target.state != thread_mod.BLOCKED:
+                    self._finish(cpu, thread, SimulationError(
+                        f"handoff to non-blocked thread {target.name}"))
+                    return
+                if target.pin is not None and target.pin != cpu.index:
+                    self._finish(cpu, thread, SimulationError(
+                        f"handoff to {target.name} pinned to "
+                        f"CPU{target.pin}"))
+                    return
+                thread.state = thread_mod.BLOCKED
+                thread.block_reason = f"handoff:{target.name}"
+                thread.cpu = None
+                thread.last_ran = self.engine.now()
+                self._end_run_span(thread)
+                target.next_send_value = effect.value
+                self._begin_run(cpu, target, 0.0)
+            elif isinstance(effect, YieldCPU):
+                runqueue = self.runqueues[cpu.index]
+                if runqueue:
+                    thread.state = thread_mod.RUNNABLE
+                    runqueue.append(thread)
+                    self._dispatch(cpu)
+                else:
+                    self.engine.post(0, lambda: self._advance(cpu, thread))
+            else:
+                self._finish(cpu, thread, TypeError(
+                    f"{thread.name} yielded a non-effect: {effect!r}"))
+            return
+
+    def _do_charge(self, cpu, thread: Thread, ns: float, block) -> bool:
         """Charge CPU time, splitting at the timeslice for preemption.
 
         Time is billed to the thread's *current* process — a thread
         executing inside another process via dIPC donates its slice and
         bills the callee (§5.2.1, §6.1.2).
+
+        Returns True when the thread should keep running now: the
+        charge's continuation was the next event, so ``Engine.skip_to``
+        fired it inline instead of posting ``_after_charge``. Only
+        :meth:`_advance` calls this, as the last thing an engine event
+        does, so nothing can run between the skipped post and its pop.
         """
         billed = thread.current_process
         if self._jitter_rng is not None and ns > 0:
             ns *= 1.0 + self._jitter_rng.uniform(-self.costs.JITTER,
                                                  self.costs.JITTER)
         remaining = self.costs.TIMESLICE - thread.slice_used
-        contended = bool(self.runqueues[cpu.index])
-        if contended and 0 < remaining < ns:
+        if 0 < remaining < ns and self.runqueues[cpu.index]:
             cpu.charge(block, remaining)
             billed.cpu_ns += remaining
             thread.slice_used += remaining
             thread.pending_charge = (ns - remaining, block)
             self.engine.post(remaining, lambda: self._preempt(cpu, thread))
-            return
+            return False
         cpu.charge(block, ns)
         billed.cpu_ns += ns
         thread.slice_used += ns
-        self.engine.post(ns, lambda: self._after_charge(cpu, thread))
+        if not self.engine.skip_to(ns):
+            self.engine.post(ns, lambda: self._after_charge(cpu, thread))
+            return False
+        # _after_charge's checks, inline
+        if cpu.current is not thread or thread.state != thread_mod.RUNNING:
+            return False
+        if (thread.slice_used >= self.costs.TIMESLICE
+                and self.runqueues[cpu.index]):
+            self._preempt(cpu, thread)
+            return False
+        return True
 
     def _after_charge(self, cpu, thread: Thread) -> None:
         if cpu.current is not thread or thread.state != thread_mod.RUNNING:

@@ -1,11 +1,10 @@
 """Discrete-event simulation core: engine, clock, and time accounting."""
 
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
 from repro.sim.stats import Block, Breakdown, RunningStats, geometric_mean
 
 __all__ = [
     "Engine",
-    "Event",
     "Block",
     "Breakdown",
     "RunningStats",

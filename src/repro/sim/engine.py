@@ -10,75 +10,57 @@ fully reproducible.
 
 Hot-path notes (``benchmarks/test_engine_micro.py`` keeps the floor):
 
-* :meth:`Event.__lt__` compares fields directly instead of building two
-  tuples per heap comparison;
-* :meth:`Engine.run` inlines the pop/fire loop and skips the
-  count-trigger heap peek entirely while no triggers are armed;
-* popped events are recycled through a freelist when — and only when —
-  no outside reference to the handle survives (checked via
-  ``sys.getrefcount``), cutting allocator churn in long OLTP runs
-  without ever letting a stale handle cancel a recycled event.
+* queue entries are ``[time_ns, seq, fn]`` lists, which ``heapq``
+  compares in C; ``seq`` is unique, so a comparison never reaches
+  ``fn``. The entry is the handle :meth:`Engine.post` returns:
+  :meth:`Engine.cancel` tombstones it (``fn = None``), and the run loop
+  drops tombstones as they surface. Popping an entry clears its ``fn``
+  as well, so cancelling an event that already fired does nothing;
+* :meth:`Engine.run` is the one event loop. Per event it checks whether
+  a schedule controller is installed and, only then, whether the next
+  entry ties with the popped one; it skips the count-trigger peek while
+  no triggers are armed;
+* :meth:`Engine.skip_to` lets a callback whose last act would be to
+  post its own continuation run that continuation inline instead,
+  when no other event could fire first (see its docstring). The
+  scheduler does so for every ``Charge`` not split at the timeslice,
+  which is most events of every workload.
 """
 
 from __future__ import annotations
 
 import heapq
-from sys import getrefcount
+from math import inf
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
 from repro.trace.tracer import NULL_TRACER
-
-#: recycled-Event pool cap; beyond this, retired events go to the GC
-_FREELIST_MAX = 512
-
-
-class Event:
-    """A scheduled callback. Returned by :meth:`Engine.post` for cancelling."""
-
-    __slots__ = ("time", "seq", "fn", "cancelled", "popped")
-
-    def __init__(self, time: float, seq: int, fn: Callable[[], None]):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.cancelled = False
-        self.popped = False
-
-    def __lt__(self, other: "Event") -> bool:
-        # heapq calls this O(log n) times per push/pop; comparing fields
-        # directly avoids allocating two tuples per comparison
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time:.1f} seq={self.seq} {state}>"
 
 
 class Engine:
     """Event queue + simulated clock."""
 
     def __init__(self):
-        self._queue: list[Event] = []
+        #: heap of ``[time_ns, seq, fn]`` entries; ``fn`` is None once
+        #: the entry is cancelled or popped
+        self._queue: list = []
         self._now = 0.0
         self._seq = 0
         self._running = False
+        #: the active run()'s time and event-count stops (skip_to's bounds)
+        self._stop_ns = inf
+        self._stop_count = inf
         #: cancelled events still sitting in the heap (pruned lazily)
         self._cancelled_in_queue = 0
         self.events_processed = 0
         #: (count, seq, fn) heap fired when events_processed reaches count
         self._count_triggers: list = []
-        #: retired Event objects awaiting reuse (see :meth:`_retire`)
-        self._freelist: list[Event] = []
         #: span/counter recorder; NULL_TRACER unless a TraceSession (or a
         #: caller) installs a live repro.trace.Tracer
         self.tracer = NULL_TRACER
         #: schedule-exploration hook (repro.check.ScheduleController);
-        #: when set, run() routes through _run_controlled so every
-        #: same-timestamp tie-break becomes a recorded decision point.
-        #: None keeps the inlined hot loop below completely untouched.
+        #: when set, run() lets it break every same-timestamp tie, each
+        #: a recorded decision point
         self.controller = None
         #: zero-arg callable invoked when run() drains the queue with no
         #: live event left; raises DeadlockError if threads are wedged
@@ -93,7 +75,7 @@ class Engine:
 
     # -- scheduling ----------------------------------------------------------
 
-    def post(self, delay_ns: float, fn: Callable[[], None]) -> Event:
+    def post(self, delay_ns: float, fn: Callable[[], None]) -> list:
         """Schedule ``fn()`` to run ``delay_ns`` from now.
 
         Events posted for the same timestamp fire in posting order.
@@ -102,24 +84,19 @@ class Engine:
             raise SimulationError(f"cannot post event in the past ({delay_ns})")
         return self.post_at(self._now + delay_ns, fn)
 
-    def post_at(self, time_ns: float, fn: Callable[[], None]) -> Event:
-        """Schedule ``fn()`` at absolute simulated time ``time_ns``."""
+    def post_at(self, time_ns: float, fn: Callable[[], None]) -> list:
+        """Schedule ``fn()`` at absolute simulated time ``time_ns``.
+
+        Returns the queue entry as an opaque handle for :meth:`cancel`.
+        """
         if time_ns < self._now:
             raise SimulationError(
                 f"cannot post event at {time_ns} before now ({self._now})"
             )
-        if self._freelist:
-            event = self._freelist.pop()
-            event.time = time_ns
-            event.seq = self._seq
-            event.fn = fn
-            event.cancelled = False
-            event.popped = False
-        else:
-            event = Event(time_ns, self._seq, fn)
+        entry = [time_ns, self._seq, fn]
         self._seq += 1
-        heapq.heappush(self._queue, event)
-        return event
+        heapq.heappush(self._queue, entry)
+        return entry
 
     def at_event_count(self, count: int, fn: Callable[[], None]) -> None:
         """Run ``fn()`` right after the ``count``-th event executes.
@@ -137,7 +114,7 @@ class Engine:
         heapq.heappush(self._count_triggers, (count, self._seq, fn))
         self._seq += 1
 
-    def cancel(self, event: Event) -> None:
+    def cancel(self, entry: list) -> None:
         """Cancel a pending event; cancelling twice is harmless.
 
         Cancelled events stay in the heap until popped, but once they
@@ -145,9 +122,9 @@ class Engine:
         runs that cancel heavily (timeouts that rarely fire) would
         otherwise grow the queue without bound.
         """
-        if event.cancelled or event.popped:
-            return
-        event.cancelled = True
+        if entry[2] is None:
+            return  # already cancelled, or already fired
+        entry[2] = None
         self._cancelled_in_queue += 1
         if self._cancelled_in_queue > len(self._queue) // 2 \
                 and len(self._queue) >= 64:
@@ -160,32 +137,10 @@ class Engine:
         local alias of the queue list across callbacks, and a callback
         is allowed to cancel enough events to trigger this prune —
         rebinding ``self._queue`` would silently split the two views.
-        Pruned events are not recycled: their handles are typically
-        still referenced by whoever cancelled them.
         """
-        self._queue[:] = [e for e in self._queue if not e.cancelled]
+        self._queue[:] = [e for e in self._queue if e[2] is not None]
         heapq.heapify(self._queue)
         self._cancelled_in_queue = 0
-
-    def _retire(self, event: Event) -> None:
-        """Drop a popped event; recycle it when provably unreferenced.
-
-        Reusing an Event whose handle somebody still holds would let a
-        stale ``cancel()`` kill an unrelated future event, so an event
-        only enters the freelist when the caller's local variable, this
-        parameter and ``getrefcount``'s own argument are the only
-        references left (CPython refcounting makes that check exact).
-        """
-        event.fn = None
-        if len(self._freelist) < _FREELIST_MAX and getrefcount(event) <= 3:
-            self._freelist.append(event)
-
-    def _pop(self) -> Event:
-        event = heapq.heappop(self._queue)
-        event.popped = True
-        if event.cancelled:
-            self._cancelled_in_queue -= 1
-        return event
 
     # -- running -------------------------------------------------------------
 
@@ -199,40 +154,46 @@ class Engine:
         ``max_events`` stops the run first, the clock only advances to
         the next still-pending event — never past work that has yet to
         execute — keeping time monotonic across resumed runs.
+
+        With a schedule controller installed, every time several live
+        events share the earliest timestamp the controller picks which
+        one fires (see :meth:`_choose`); a baseline controller (always
+        picks 0) keeps posting order, so schedule 0 reproduces the
+        uncontrolled run.
         """
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
         self._running = True
         try:
-            if self.controller is not None:
-                self._run_controlled(until_ns, max_events)
-                return
             # local aliases for the hot loop; _prune() and
             # at_event_count() mutate these lists in place, never rebind
             queue = self._queue
             triggers = self._count_triggers
+            controller = self.controller
             heappop = heapq.heappop
-            processed = 0
+            stop_ns = self._stop_ns = inf if until_ns is None else until_ns
+            stop_count = self._stop_count = inf if max_events is None \
+                else self.events_processed + max_events
             while queue:
-                if max_events is not None and processed >= max_events:
+                if self.events_processed >= stop_count:
                     break
-                event = queue[0]
-                if event.cancelled:
+                entry = queue[0]
+                if entry[2] is None:
                     heappop(queue)
-                    event.popped = True
                     self._cancelled_in_queue -= 1
-                    self._retire(event)
                     continue
-                if until_ns is not None and event.time > until_ns:
+                time_ns = entry[0]
+                if time_ns > stop_ns:
                     break
                 heappop(queue)
-                event.popped = True
-                self._now = event.time
+                if controller is not None and queue \
+                        and queue[0][0] == time_ns:
+                    entry = self._choose(entry)
+                fn = entry[2]
+                entry[2] = None
+                self._now = time_ns
                 self.events_processed += 1
-                fn = event.fn
-                self._retire(event)
                 fn()
-                processed += 1
                 if triggers:
                     while triggers and \
                             triggers[0][0] <= self.events_processed:
@@ -249,6 +210,59 @@ class Engine:
         finally:
             self._running = False
 
+    def skip_to(self, delay_ns: float) -> bool:
+        """Fire the event ``delay_ns`` from now inline, if it would be next.
+
+        A callback that ends by posting a continuation ``delay_ns``
+        ahead may call this instead: on True the clock has moved to
+        ``now + delay_ns`` and the continuation counts as processed, so
+        the caller runs it at once. That is the event :meth:`run` would
+        have popped next when all of these hold:
+
+        * a :meth:`run` is active;
+        * no queued entry, live or tombstoned, is due at or before the
+          new time (an equal time was posted earlier, so fires first);
+        * the new time is within the run's ``until_ns``;
+        * the run's ``max_events`` budget admits one more event;
+        * no :meth:`at_event_count` trigger is due by that event.
+
+        A skipped event never ties with another, so a schedule
+        controller sees the same decision points either way.
+        """
+        time_ns = self._now + delay_ns
+        queue = self._queue
+        if not self._running or (queue and queue[0][0] <= time_ns) \
+                or time_ns > self._stop_ns \
+                or self.events_processed >= self._stop_count:
+            return False
+        triggers = self._count_triggers
+        if triggers and triggers[0][0] <= self.events_processed + 1:
+            return False
+        self._now = time_ns
+        self.events_processed += 1
+        return True
+
+    def _choose(self, head: list) -> list:
+        """Let the controller pick among the live entries tied with the
+        popped ``head``; the others go back with their seq, so posting
+        order still breaks the next tie. Every such pick is a recorded
+        decision point; tombstoned ties are dropped."""
+        queue = self._queue
+        time_ns = head[0]
+        batch = [head]
+        while queue and queue[0][0] == time_ns:
+            entry = heapq.heappop(queue)
+            if entry[2] is None:
+                self._cancelled_in_queue -= 1
+                continue
+            batch.append(entry)
+        if len(batch) == 1:
+            return head
+        chosen = batch.pop(self.controller.choose("event", len(batch)))
+        for entry in batch:
+            heapq.heappush(queue, entry)
+        return chosen
+
     def _check_drained(self) -> None:
         """Run the deadlock detector when the queue has fully drained.
 
@@ -260,88 +274,22 @@ class Engine:
                 and self._next_live_time() is None:
             self.deadlock_detector()
 
-    def _run_controlled(self, until_ns: Optional[float],
-                        max_events: Optional[int]) -> None:
-        """The :meth:`run` loop with schedule exploration enabled.
-
-        Semantically identical to the inlined hot loop except that when
-        several live events share the earliest timestamp, the installed
-        controller picks which one fires — every such tie-break is a
-        recorded decision point. With a baseline controller (always
-        picks 0) the event order is exactly the hot loop's seq order,
-        which is what makes schedule 0 reproduce the untouched run.
-        """
-        queue = self._queue
-        triggers = self._count_triggers
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        controller = self.controller
-        processed = 0
-        while queue:
-            if max_events is not None and processed >= max_events:
-                break
-            head = queue[0]
-            if head.cancelled:
-                heappop(queue)
-                head.popped = True
-                self._cancelled_in_queue -= 1
-                self._retire(head)
-                continue
-            if until_ns is not None and head.time > until_ns:
-                break
-            # gather every live event at the head timestamp: each is a
-            # legal next step under the simulated-time semantics
-            batch = [heappop(queue)]
-            now_ns = batch[0].time
-            while queue and queue[0].time == now_ns:
-                event = heappop(queue)
-                if event.cancelled:
-                    event.popped = True
-                    self._cancelled_in_queue -= 1
-                    self._retire(event)
-                    continue
-                batch.append(event)
-            if len(batch) > 1:
-                choice = controller.choose("event", len(batch))
-                event = batch.pop(choice)
-                for other in batch:
-                    heappush(queue, other)  # seq preserved: still stable
-            else:
-                event = batch[0]
-            event.popped = True
-            self._now = now_ns
-            self.events_processed += 1
-            fn = event.fn
-            self._retire(event)
-            fn()
-            processed += 1
-            while triggers and triggers[0][0] <= self.events_processed:
-                _count, _seq, trigger_fn = heappop(triggers)
-                trigger_fn()
-        if until_ns is not None and self._now < until_ns:
-            target = until_ns
-            head_time = self._next_live_time()
-            if head_time is not None:
-                target = min(target, head_time)
-            if target > self._now:
-                self._now = target
-        self._check_drained()
-
     def _next_live_time(self) -> Optional[float]:
         """Timestamp of the earliest non-cancelled queued event.
 
-        Discards cancelled heads through ``_pop``/``_retire`` (the same
-        bookkeeping ``run()`` inlines), so ``_cancelled_in_queue`` stays
+        Discards tombstoned heads with the same bookkeeping ``run()``
+        inlines, so ``_cancelled_in_queue`` stays
         exact no matter how often the clamp path re-enters here between
         cancels and prunes (see
         ``tests/sim/test_engine.py::test_clamp_cancel_interleaving``).
         """
-        while self._queue:
-            head = self._queue[0]
-            if head.cancelled:
-                self._retire(self._pop())
+        queue = self._queue
+        while queue:
+            if queue[0][2] is None:
+                heapq.heappop(queue)
+                self._cancelled_in_queue -= 1
                 continue
-            return head.time
+            return queue[0][0]
         return None
 
     def pending(self) -> int:

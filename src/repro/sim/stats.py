@@ -46,7 +46,7 @@ class Breakdown:
     def add(self, block: Block, amount: float) -> None:
         if amount < 0:
             raise ValueError(f"negative charge: {amount}")
-        self.ns[Block(block)] += amount
+        self.ns[block] += amount
 
     def merge(self, other: "Breakdown") -> None:
         for block, amount in other.ns.items():

@@ -213,10 +213,11 @@ def test_prune_shrinks_internal_queue():
     assert engine.events_processed == 29
 
 
-# -- hot-path hardening: freelist, bookkeeping, clamp interleaving ----------
+# -- hot-path hardening: handles, bookkeeping, clamp interleaving -----------
 
 def _bookkeeping_exact(engine):
-    return sum(1 for e in engine._queue if e.cancelled) \
+    """Tombstoned entries still in the heap match the engine's count."""
+    return sum(1 for entry in engine._queue if entry[2] is None) \
         == engine._cancelled_in_queue
 
 
@@ -272,42 +273,27 @@ def test_callback_triggered_prune_does_not_stall_run():
     assert _bookkeeping_exact(engine)
 
 
-def test_freelist_recycles_unreferenced_events():
-    engine = Engine()
-    count = 600
-
-    def tick():
-        if engine.events_processed < count:
-            engine.post(1.0, tick)
-
-    engine.post(0.0, tick)
-    engine.run()
-    assert engine.events_processed == count
-    # handles were never kept, so popped events must have been pooled
-    assert engine._freelist
-    from repro.sim.engine import _FREELIST_MAX
-    assert len(engine._freelist) <= _FREELIST_MAX
-
-
 def test_held_handles_are_never_recycled():
     engine = Engine()
     held = [engine.post(i + 1, lambda: None) for i in range(20)]
     engine.run()
-    assert engine._freelist == []          # every handle is still alive
-    assert all(e.popped for e in held)
+    for handle in held:                    # every one already fired
+        engine.cancel(handle)
+    assert engine.pending() == 0
+    assert _bookkeeping_exact(engine)
 
 
 def test_stale_cancel_cannot_kill_a_recycled_event():
-    """A handle kept after its event fired must stay inert even once
-    the freelist is in play and new events are being scheduled."""
+    """A handle kept after its event fired must stay inert once new
+    events are being scheduled."""
     engine = Engine()
     fired = []
     stale = engine.post(1, lambda: fired.append("old"))
-    engine.post(2, lambda: fired.append("churn"))   # unheld -> recyclable
+    engine.post(2, lambda: fired.append("churn"))   # handle not kept
     engine.run()
-    fresh = engine.post(5, lambda: fired.append("new"))
+    engine.post(5, lambda: fired.append("new"))
     engine.cancel(stale)                   # must be a no-op
-    assert not fresh.cancelled
+    assert engine.pending() == 1
     engine.run()
     assert fired == ["old", "churn", "new"]
     assert _bookkeeping_exact(engine)
