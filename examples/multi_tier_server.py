@@ -17,7 +17,7 @@ def build_database():
     @module.entry("default", Signature(in_regs=1, out_regs=1),
                   iso_callee=IsolationPolicy(stack_confidentiality=True))
     def query(t, key):
-        yield t.compute(300)
+        yield from t.compute(300)
         return ("row", key)
 
     return module, query
@@ -49,7 +49,7 @@ def main():
     rpc_server = RpcServer(kernel, rpc_server_proc, rpc_ns, "/rpc/db")
 
     def rpc_query(t, key):
-        yield t.compute(300)
+        yield from t.compute(300)
         return 64, ("row", key)
 
     rpc_server.register("query", rpc_query)

@@ -26,7 +26,7 @@ def main():
 
     def decode_frame(t, frame_id):
         """The 'codec plugin': occasionally buggy, possibly nosy."""
-        yield t.compute(500)
+        yield from t.compute(500)
         if frame_id == "corrupt":
             raise ValueError("bitstream error")
         if frame_id == "evil":

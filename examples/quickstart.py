@@ -22,7 +22,7 @@ def main():
     # 3. the database exports a 'query' entry point. It protects itself:
     #    callers get a private stack and cannot touch its DCS.
     def query(t, key):
-        yield t.compute(250)  # ns of "SQL"
+        yield from t.compute(250)  # ns of "SQL"
         if key == "missing":
             raise KeyError(key)  # a callee crash — watch what happens
         return {"title": f"row for {key}"}

@@ -117,7 +117,7 @@ def _php_chunks(txn: Transaction) -> float:
 
 def _db_work(run: _Run, t, query):
     """The database side of one query: CPU + storage."""
-    yield t.compute(query.db_cpu_ns)
+    yield from t.compute(query.db_cpu_ns)
     yield from run.storage.access(t, miss=run.workload.disk_miss(query))
 
 
@@ -150,9 +150,9 @@ def _build_linux(run: _Run):
     def db_worker(t):
         while True:
             request, _ = yield from db_sock.recvfrom(t)
-            yield t.compute(fcgi)
+            yield from t.compute(fcgi)
             yield from _db_work(run, t, request["query"])
-            yield t.compute(fcgi)
+            yield from t.compute(fcgi)
             yield from db_sock.sendto(t, request["reply_to"],
                                       request["query"].result_bytes,
                                       payload={"rows": "..."})
@@ -163,16 +163,16 @@ def _build_linux(run: _Run):
         while True:
             request, _ = yield from php_sock.recvfrom(t)
             txn = request["txn"]
-            yield t.compute(fcgi)
+            yield from t.compute(fcgi)
             chunk = _php_chunks(txn)
-            yield t.compute(chunk)
+            yield from t.compute(chunk)
             for query in txn.queries:
-                yield t.compute(fcgi)
+                yield from t.compute(fcgi)
                 yield from reply.sendto(t, db_sock.path, 256, payload={
                     "query": query, "reply_to": reply.path})
                 yield from reply.recvfrom(t)
-                yield t.compute(chunk)
-            yield t.compute(fcgi)
+                yield from t.compute(chunk)
+            yield from t.compute(fcgi)
             yield from reply.sendto(t, request["reply_to"],
                                     txn.response_bytes,
                                     payload={"page": "..."})
@@ -184,14 +184,14 @@ def _build_linux(run: _Run):
             yield from t.sleep(params.client_delay_ns)
             start = t.now()
             txn = run.workload.next_transaction()
-            yield t.compute(txn.apache_cpu_ns * 0.6)
-            yield t.compute(fcgi)
+            yield from t.compute(txn.apache_cpu_ns * 0.6)
+            yield from t.compute(fcgi)
             yield from reply.sendto(t, php_sock.path, txn.request_bytes,
                                     payload={"txn": txn,
                                              "reply_to": reply.path})
             yield from reply.recvfrom(t)
-            yield t.compute(fcgi)
-            yield t.compute(txn.apache_cpu_ns * 0.4)
+            yield from t.compute(fcgi)
+            yield from t.compute(txn.apache_cpu_ns * 0.4)
             run.record(t.now() - start)
 
     for i in range(params.concurrency):
@@ -225,11 +225,11 @@ def _build_dipc(run: _Run):
 
     def php_handle(t, txn):
         chunk = _php_chunks(txn)
-        yield t.compute(chunk)
+        yield from t.compute(chunk)
         for query in txn.queries:
             yield from manager.call(t, addresses[(php_id, db_id)],
                                     query)
-            yield t.compute(chunk)
+            yield from t.compute(chunk)
         return {"page": "..."}
 
     exports = {db_id: (db_query, "query"),
@@ -278,10 +278,10 @@ def _build_dipc(run: _Run):
             yield from t.sleep(params.client_delay_ns)
             start = t.now()
             txn = run.workload.next_transaction()
-            yield t.compute(txn.apache_cpu_ns * 0.6)
+            yield from t.compute(txn.apache_cpu_ns * 0.6)
             yield from manager.call(t, addresses[(apache_id, php_id)],
                                     txn)
-            yield t.compute(txn.apache_cpu_ns * 0.4)
+            yield from t.compute(txn.apache_cpu_ns * 0.4)
             run.record(t.now() - start)
 
     for i in range(params.concurrency):
@@ -304,15 +304,15 @@ def _build_ideal(run: _Run):
             yield from t.sleep(params.client_delay_ns)
             start = t.now()
             txn = run.workload.next_transaction()
-            yield t.compute(txn.apache_cpu_ns * 0.6)
-            yield t.compute(call)               # apache -> mod_php
+            yield from t.compute(txn.apache_cpu_ns * 0.6)
+            yield from t.compute(call)               # apache -> mod_php
             chunk = _php_chunks(txn)
-            yield t.compute(chunk)
+            yield from t.compute(chunk)
             for query in txn.queries:
-                yield t.compute(call)           # php -> libmariadbd
+                yield from t.compute(call)           # php -> libmariadbd
                 yield from _db_work(run, t, query)
-                yield t.compute(chunk)
-            yield t.compute(txn.apache_cpu_ns * 0.4)
+                yield from t.compute(chunk)
+            yield from t.compute(txn.apache_cpu_ns * 0.4)
             run.record(t.now() - start)
 
     for i in range(params.concurrency):

@@ -82,4 +82,4 @@ class StorageEngine:
             yield from thread.syscall(self.kernel.costs.SYSCALL_MINWORK)
             yield from self.disk.read(thread)
         # buffer-pool hit (or tmpfs): the cost is in the DB CPU demand
-        yield thread.kwork(0.0, Block.USER)
+        yield from thread.kwork(0.0, Block.USER)

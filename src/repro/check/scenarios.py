@@ -97,7 +97,7 @@ def _run_l4race(topo_n: Optional[int]) -> List[str]:
             # its late reply races the caller's timeout + re-call: the
             # reply lands right around the next call's rendezvous
             # registration (cf. tests/ipc/test_l4_abandoned_schedules)
-            yield t.compute(2800.0 if message % 3 == 0 else 100.0)
+            yield from t.compute(2800.0 if message % 3 == 0 else 100.0)
             caller, message = yield from endpoint.reply_and_wait(
                 t, caller, ("ack", message))
 
@@ -133,7 +133,7 @@ def _run_lostwake(topo_n: Optional[int]) -> List[str]:
 
     def producer(t):
         for i in range(total):
-            yield t.compute(100.0)
+            yield from t.compute(100.0)
             items.append(i)
             if waiting:
                 kernel.wake(waiting.pop(0))

@@ -155,15 +155,16 @@ def caller_stub_charges(thread, policy: IsolationPolicy, *,
     factor = 1.0 / STUB_COOPT_FACTOR if optimized else 1.0
     if before:
         if policy.reg_integrity:
-            yield thread.kwork(costs.STUB_REG_SAVE * factor, Block.USER)
+            yield from thread.kwork(costs.STUB_REG_SAVE * factor, Block.USER)
         if policy.reg_confidentiality:
-            yield thread.kwork(costs.STUB_REG_ZERO * factor * 5 / 8,
-                               Block.USER)
+            yield from thread.kwork(costs.STUB_REG_ZERO * factor * 5 / 8,
+                                    Block.USER)
         if policy.stack_integrity:
-            yield thread.kwork(costs.STUB_STACK_CAPS, Block.USER)
+            yield from thread.kwork(costs.STUB_STACK_CAPS, Block.USER)
     else:
         if policy.reg_confidentiality:
-            yield thread.kwork(costs.STUB_REG_ZERO * factor * 3 / 8,
-                               Block.USER)
+            yield from thread.kwork(costs.STUB_REG_ZERO * factor * 3 / 8,
+                                    Block.USER)
         if policy.reg_integrity:
-            yield thread.kwork(costs.STUB_REG_RESTORE * factor, Block.USER)
+            yield from thread.kwork(costs.STUB_REG_RESTORE * factor,
+                                    Block.USER)

@@ -265,9 +265,10 @@ class DipcManager:
         return proxy
 
     def call(self, thread, address: int, *args):
-        """Sub-generator: call through a resolved proxy entry address."""
-        proxy = self.resolve(address)
-        return (yield from proxy.call(thread, *args))
+        """The proxy's call sub-generator for entry ``address`` (use with
+        ``yield from``); returning it rather than delegating to it keeps
+        one generator frame out of every nested dIPC call."""
+        return self.resolve(address).call(thread, *args)
 
     # -- fault handling hooks used by Kernel.kill_process (§5.2.1) ---------------------------
 

@@ -125,10 +125,10 @@ class Proxy:
         caller_tag = ctx.current_tag
         caller_priv = ctx.privileged
         manager.access.check_call(ctx, self.entry_address, thread=thread)
-        yield thread.kwork(costs.FUNC_CALL, Block.USER)
+        yield from thread.kwork(costs.FUNC_CALL, Block.USER)
 
         # ---- trusted proxy entry ----
-        yield thread.kwork(costs.PROXY_MIN_CALL, Block.USER)
+        yield from thread.kwork(costs.PROXY_MIN_CALL, Block.USER)
         if self.cross_process and not self.callee_process.alive:
             # a call into a killed process fails errno-style at the proxy
             # instead of executing dead code: nothing was pushed yet, so
@@ -170,15 +170,16 @@ class Proxy:
             if self.cross_process:
                 yield from manager.track.track_call(
                     thread, self.callee_process, self.callee_tag)
-                yield thread.kwork(costs.TLS_SWITCH, Block.USER)
-                yield thread.kwork(costs.TRACK_DONATION, Block.USER)
+                yield from thread.kwork(costs.TLS_SWITCH, Block.USER)
+                yield from thread.kwork(costs.TRACK_DONATION, Block.USER)
 
             # ---- proxy-side isolation properties (isolate_pcall) ----
             if self.policy.stack_confidentiality:
                 if self.cross_process:
-                    yield thread.kwork(costs.PROXY_STACK_LOCATE, Block.USER)
-                yield thread.kwork(costs.PROXY_STACK_SWITCH * 5 / 8,
-                                   Block.USER)
+                    yield from thread.kwork(costs.PROXY_STACK_LOCATE,
+                                            Block.USER)
+                yield from thread.kwork(costs.PROXY_STACK_SWITCH * 5 / 8,
+                                        Block.USER)
                 active_stack = manager.stacks.stack_for(
                     thread, self.callee_process)
                 if self.signature.stack_bytes:
@@ -186,14 +187,14 @@ class Proxy:
                     copy_ns = self.kernel.machine.cache.copy_ns(
                         self.signature.stack_bytes,
                         startup=costs.MEMCPY_STARTUP)
-                    yield thread.kwork(copy_ns, Block.USER)
+                    yield from thread.kwork(copy_ns, Block.USER)
             if self.policy.dcs_integrity:
-                yield thread.kwork(costs.PROXY_DCS_ADJUST * 2 / 3,
-                                   Block.USER)
+                yield from thread.kwork(costs.PROXY_DCS_ADJUST * 2 / 3,
+                                        Block.USER)
                 frame.saved_dcs_base = ctx.dcs.set_base(ctx.dcs.top_index())
             if self.policy.dcs_confidentiality:
-                yield thread.kwork(costs.PROXY_DCS_SWITCH * 2.5 / 4.3,
-                                   Block.USER)
+                yield from thread.kwork(costs.PROXY_DCS_SWITCH * 2.5 / 4.3,
+                                        Block.USER)
                 frame.saved_dcs = ctx.dcs
                 ctx.dcs = manager.dcs_pool.acquire()
 
@@ -223,7 +224,7 @@ class Proxy:
                 raise DipcError(
                     f"stale reply dropped: {frame.unwound_reason} "
                     f"({frame.describe()})")
-            yield thread.kwork(costs.PROXY_MIN_RET, Block.USER)
+            yield from thread.kwork(costs.PROXY_MIN_RET, Block.USER)
             if self.stubs_in_proxy:
                 yield from self._stub_ret_charges(thread)
             if span is not None:
@@ -235,8 +236,8 @@ class Proxy:
             ctx.current_tag = self.proxy_tag
             ctx.privileged = True
             yield from self._unwind_state(thread, frame, ctx, charge=False)
-            yield thread.kwork(costs.SYSCALL_HW, Block.SYSCALL)
-            yield thread.kwork(costs.KCS_UNWIND_FRAME, Block.KERNEL)
+            yield from thread.kwork(costs.SYSCALL_HW, Block.SYSCALL)
+            yield from thread.kwork(costs.KCS_UNWIND_FRAME, Block.KERNEL)
             manager.faults_unwound += 1
             if span is not None:
                 tracer.count("dipc.kcs_unwinds")
@@ -286,22 +287,23 @@ class Proxy:
         manager = self.manager
         if self.policy.dcs_confidentiality and frame.saved_dcs is not None:
             if charge:
-                yield thread.kwork(costs.PROXY_DCS_SWITCH * 1.8 / 4.3,
-                                   Block.USER)
+                yield from thread.kwork(costs.PROXY_DCS_SWITCH * 1.8 / 4.3,
+                                        Block.USER)
             manager.dcs_pool.release(ctx.dcs)
             ctx.dcs = frame.saved_dcs
             frame.saved_dcs = None
         if self.policy.dcs_integrity and frame.saved_dcs_base is not None:
             if charge:
-                yield thread.kwork(costs.PROXY_DCS_ADJUST * 1 / 3,
-                                   Block.USER)
+                yield from thread.kwork(costs.PROXY_DCS_ADJUST * 1 / 3,
+                                        Block.USER)
             ctx.dcs.set_base(frame.saved_dcs_base)
             frame.saved_dcs_base = None
         if self.policy.stack_confidentiality and charge:
-            yield thread.kwork(costs.PROXY_STACK_SWITCH * 3 / 8, Block.USER)
+            yield from thread.kwork(costs.PROXY_STACK_SWITCH * 3 / 8,
+                                    Block.USER)
         if self.cross_process:
             if charge:
-                yield thread.kwork(costs.TLS_SWITCH, Block.USER)
+                yield from thread.kwork(costs.TLS_SWITCH, Block.USER)
             yield from manager.track.track_ret(thread, frame.caller_process)
         # retire the KCS entry and restore the caller's execution state
         popped_live = self.kcs_of(thread).pop_frame(frame)
@@ -313,18 +315,18 @@ class Proxy:
     def _stub_call_charges(self, thread):
         costs = self.kernel.costs
         if self.stub_policy.reg_integrity:
-            yield thread.kwork(costs.STUB_REG_SAVE, Block.USER)
+            yield from thread.kwork(costs.STUB_REG_SAVE, Block.USER)
         if self.stub_policy.reg_confidentiality:
-            yield thread.kwork(costs.STUB_REG_ZERO * 5 / 8, Block.USER)
+            yield from thread.kwork(costs.STUB_REG_ZERO * 5 / 8, Block.USER)
         if self.stub_policy.stack_integrity:
-            yield thread.kwork(costs.STUB_STACK_CAPS, Block.USER)
+            yield from thread.kwork(costs.STUB_STACK_CAPS, Block.USER)
 
     def _stub_ret_charges(self, thread):
         costs = self.kernel.costs
         if self.stub_policy.reg_confidentiality:
-            yield thread.kwork(costs.STUB_REG_ZERO * 3 / 8, Block.USER)
+            yield from thread.kwork(costs.STUB_REG_ZERO * 3 / 8, Block.USER)
         if self.stub_policy.reg_integrity:
-            yield thread.kwork(costs.STUB_REG_RESTORE, Block.USER)
+            yield from thread.kwork(costs.STUB_REG_RESTORE, Block.USER)
 
     def __repr__(self) -> str:
         kind = "+proc" if self.cross_process else "local"

@@ -101,8 +101,8 @@ def call_with_timeout(thread, proxy, args, timeout_ns: float):
             raise outcome.error
         return outcome.value
     # timed out: duplicate-thread + KCS-unwind costs land on the caller
-    yield thread.kwork(costs.THREAD_SPLIT, Block.KERNEL)
-    yield thread.kwork(costs.KCS_UNWIND_FRAME, Block.KERNEL)
+    yield from thread.kwork(costs.THREAD_SPLIT, Block.KERNEL)
+    yield from thread.kwork(costs.KCS_UNWIND_FRAME, Block.KERNEL)
     raise CallTimeout(
         f"call through {proxy!r} exceeded {timeout_ns:.0f}ns",
         elapsed_ns=timeout_ns)

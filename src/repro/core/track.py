@@ -85,27 +85,27 @@ class ProcessTracker:
                 entry = slot
         if entry is not None:
             state.hot_hits += 1
-            yield thread.kwork(costs.TRACK_PROCESS_CALL, Block.USER)
+            yield from thread.kwork(costs.TRACK_PROCESS_CALL, Block.USER)
         elif target_tag in state.tree:
             state.warm_hits += 1
             entry = state.tree[target_tag]
             if hw_tag is not None:
                 state.cache_array[hw_tag] = entry
-            yield thread.kwork(costs.TRACK_PROCESS_CALL
-                               + costs.TRACK_TREE_LOOKUP, Block.USER)
+            yield from thread.kwork(costs.TRACK_PROCESS_CALL
+                                    + costs.TRACK_TREE_LOOKUP, Block.USER)
         else:
             # cold path: upcall into the target's management thread, which
             # executes a syscall to create the OS structures (§6.1.2)
             state.cold_misses += 1
             self.upcalls += 1
-            yield thread.kwork(costs.TRACK_UPCALL, Block.USER)
+            yield from thread.kwork(costs.TRACK_UPCALL, Block.USER)
             yield from thread.syscall(costs.SYSCALL_MINWORK)
             tid = self._per_process_tid(thread, target_process)
             entry = TrackEntry(target_tag, target_process, tid)
             state.tree[target_tag] = entry
             if hw_tag is not None:
                 state.cache_array[hw_tag] = entry
-            yield thread.kwork(costs.TRACK_PROCESS_CALL, Block.USER)
+            yield from thread.kwork(costs.TRACK_PROCESS_CALL, Block.USER)
         # the functional switch: current process (fd table, accounting)
         thread.current_process = target_process
         return entry.per_process_tid
@@ -113,7 +113,7 @@ class ProcessTracker:
     def track_ret(self, thread, saved_process):
         """Sub-generator: restore ``current`` from the KCS entry."""
         costs = self.kernel.costs
-        yield thread.kwork(costs.TRACK_PROCESS_RET, Block.USER)
+        yield from thread.kwork(costs.TRACK_PROCESS_RET, Block.USER)
         thread.current_process = saved_process
 
     # -- per-process thread identifiers (§5.2.1) ----------------------------------

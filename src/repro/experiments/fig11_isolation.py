@@ -77,11 +77,11 @@ def bench_socket(*, size: int = 1, iters: int = DEFAULT_ITERS,
     def server(t):
         while True:
             yield from request.recvfrom(t)
-            yield t.compute(STUB_NS + costs.TOUCH_ARG)
+            yield from t.compute(STUB_NS + costs.TOUCH_ARG)
             yield from request.sendto(t, "/fig11/rep", 1, payload="ack")
 
     def iteration(t):
-        yield t.compute(STUB_NS + costs.TOUCH_ARG)
+        yield from t.compute(STUB_NS + costs.TOUCH_ARG)
         yield from reply.sendto(t, "/fig11/req", size, payload="ping")
         yield from reply.recvfrom(t)
 
@@ -112,16 +112,16 @@ def bench_l4(*, size: int = 1, iters: int = DEFAULT_ITERS,
         caller, msg = yield from endpoint.wait(t)
         while True:
             if size > 1:
-                yield t.compute(cache.touch_ns(size))     # callee reads
+                yield from t.compute(cache.touch_ns(size))     # callee reads
             caller, msg = yield from endpoint.reply_and_wait(t, caller,
                                                              "ack")
 
     def iteration(t):
         if size > 1:
-            yield t.compute(cache.touch_ns(size))         # caller writes
-        yield t.kwork(request_copy, Block.KERNEL)         # long IPC in
+            yield from t.compute(cache.touch_ns(size))         # caller writes
+        yield from t.kwork(request_copy, Block.KERNEL)         # long IPC in
         yield from endpoint.call(t, "ping")
-        yield t.kwork(reply_copy, Block.KERNEL)           # ack out
+        yield from t.kwork(reply_copy, Block.KERNEL)           # ack out
 
     kernel.spawn(server_proc, server, pin=0, name="l4-srv", daemon=True)
     kernel.spawn(client_proc, harness.caller_body(iteration), pin=0,
@@ -144,9 +144,9 @@ def bench_dpti(*, size: int = 1, iters: int = DEFAULT_ITERS,
 
     def handler(t, payload):
         if size > 1:
-            yield t.compute(cache.touch_ns(size))         # callee reads
+            yield from t.compute(cache.touch_ns(size))         # callee reads
         else:
-            yield t.compute(0.0)
+            yield from t.compute(0.0)
         return "ack"
 
     endpoint = DptiEndpoint(kernel, handler)
@@ -154,7 +154,7 @@ def bench_dpti(*, size: int = 1, iters: int = DEFAULT_ITERS,
 
     def iteration(t):
         if size > 1:
-            yield t.compute(cache.touch_ns(size))         # caller writes
+            yield from t.compute(cache.touch_ns(size))         # caller writes
         yield from endpoint.call(t, "ping", size=size, reply_size=1)
 
     kernel.spawn(client_proc, harness.caller_body(iteration), pin=0,

@@ -170,10 +170,10 @@ def bench_func(size: int = 1, *, iters: int = DEFAULT_ITERS,
     harness = _Harness(kernel, "func", warmup=warmup, iters=iters)
 
     def iteration(t):
-        yield t.compute(costs.FUNC_CALL)
+        yield from t.compute(costs.FUNC_CALL)
         if size > 1:
-            yield t.compute(cache.touch_ns(size))  # caller writes
-            yield t.compute(cache.touch_ns(size))  # callee reads
+            yield from t.compute(cache.touch_ns(size))  # caller writes
+            yield from t.compute(cache.touch_ns(size))  # callee reads
 
     proc = kernel.spawn_process("bench")
     kernel.spawn(proc, harness.caller_body(iteration), pin=0)
@@ -217,7 +217,7 @@ def bench_sem(*, same_cpu: bool = True, size: int = 1,
     buffer = SharedBuffer(kernel, capacity=max(size, 64))
 
     def iteration(t):
-        yield t.compute(STUB_NS + costs.TOUCH_ARG)  # stub + read B's ack
+        yield from t.compute(STUB_NS + costs.TOUCH_ARG)  # stub + read B's ack
         yield from buffer.populate(t, size)
         yield from request.post(t)
         yield from reply.wait(t)
@@ -225,7 +225,7 @@ def bench_sem(*, same_cpu: bool = True, size: int = 1,
     def server(t):
         while True:
             yield from request.wait(t)
-            yield t.compute(STUB_NS + costs.TOUCH_ARG)  # stub + write ack
+            yield from t.compute(STUB_NS + costs.TOUCH_ARG)  # stub + write ack
             yield from buffer.consume(t)
             yield from reply.post(t)
 
@@ -255,14 +255,14 @@ def bench_pipe(*, same_cpu: bool = True, size: int = 1,
     reply = Pipe(kernel)
 
     def iteration(t):
-        yield t.compute(STUB_NS + kernel.costs.TOUCH_ARG)
+        yield from t.compute(STUB_NS + kernel.costs.TOUCH_ARG)
         yield from request.write(t, size)
         yield from reply.read(t)
 
     def server(t):
         while True:
             yield from request.read(t)
-            yield t.compute(STUB_NS + kernel.costs.TOUCH_ARG)
+            yield from t.compute(STUB_NS + kernel.costs.TOUCH_ARG)
             yield from reply.write(t, 1)
 
     kernel.spawn(proc_b, server, pin=callee_pin, name="pipe-server",
@@ -293,7 +293,7 @@ def bench_rpc(*, same_cpu: bool = True, size: int = 1,
                        bufsize=bufsize)
 
     def echo(t, args):
-        yield t.compute(kernel.costs.FUNC_CALL)
+        yield from t.compute(kernel.costs.FUNC_CALL)
         return 1, "ack"
 
     server.register("echo", echo)
@@ -301,7 +301,7 @@ def bench_rpc(*, same_cpu: bool = True, size: int = 1,
                        bufsize=bufsize)
 
     def iteration(t):
-        yield t.compute(STUB_NS)
+        yield from t.compute(STUB_NS)
         yield from client.call(t, "echo", size)
 
     def done(t):
@@ -399,11 +399,11 @@ def bench_dipc(*, policy: str = "low", cross_process: bool = False,
 
     def target(t, payload):
         if callee_read_ns is not None:
-            yield t.compute(callee_read_ns)
+            yield from t.compute(callee_read_ns)
         elif size > 1:
-            yield t.compute(cache.touch_ns(size))  # callee reads by ref
+            yield from t.compute(cache.touch_ns(size))  # callee reads by ref
         else:
-            yield t.compute(0.0)
+            yield from t.compute(0.0)
         return "ack"
 
     iso = _policy(policy)
@@ -418,9 +418,9 @@ def bench_dipc(*, policy: str = "low", cross_process: bool = False,
 
     def iteration(t):
         if size > 1:
-            yield t.compute(cache.touch_ns(size))         # caller writes
+            yield from t.compute(cache.touch_ns(size))         # caller writes
             # pass-by-reference: one capability instead of copies (§4.2)
-            yield t.compute(costs.CAP_CREATE + 2 * costs.CAP_MEM)
+            yield from t.compute(costs.CAP_CREATE + 2 * costs.CAP_MEM)
         yield from manager.call(t, address, "payload")
 
     kernel.spawn(caller_proc, harness.caller_body(iteration), pin=0,
@@ -450,12 +450,12 @@ def bench_dipc_user_rpc(*, size: int = 1, iters: int = DEFAULT_ITERS,
         while True:
             yield from request.wait(t)
             # the server process makes a copy of its arguments (§7.2)
-            yield t.compute(STUB_NS + copy_ns())
-            yield t.compute(costs.FUNC_CALL)
+            yield from t.compute(STUB_NS + copy_ns())
+            yield from t.compute(costs.FUNC_CALL)
             yield from reply.wake(t)
 
     def iteration(t):
-        yield t.compute(STUB_NS + copy_ns())  # marshal into server buffer
+        yield from t.compute(STUB_NS + copy_ns())  # marshal into server buffer
         yield from request.wake(t)
         yield from reply.wait(t)
 

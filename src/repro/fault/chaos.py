@@ -131,7 +131,7 @@ def _build_workload(kernel, manager, rng: random.Random, *,
     storage = kernel.spawn_process("storage", dipc=True)
 
     def fetch(t, key):
-        yield t.compute(30)
+        yield from t.compute(30)
         return ("blob", key)
 
     storage_handle = manager.entry_register(
@@ -154,7 +154,7 @@ def _build_workload(kernel, manager, rng: random.Random, *,
     call_counter = [0]
 
     def query(t, key):
-        yield t.compute(40)
+        yield from t.compute(40)
         delay = db_delays[call_counter[0] % len(db_delays)]
         call_counter[0] += 1
         if delay:
@@ -195,7 +195,7 @@ def _build_workload(kernel, manager, rng: random.Random, *,
                         KernelError):
                     stats["web_aborted"] += 1  # peer dead / grant revoked
                     return
-                yield thread.compute(25)
+                yield from thread.compute(25)
         return body
 
     kernel.spawn(web, make_web_client(0), name="web/c0")
@@ -239,7 +239,7 @@ def _build_workload(kernel, manager, rng: random.Random, *,
     server = RpcServer(kernel, rpcsrv, namespace, "/chaos/rpc")
 
     def work(t, payload):
-        yield t.compute(300)
+        yield from t.compute(300)
         return 64, ("ok", payload)
 
     server.register("work", work)
@@ -290,7 +290,7 @@ def _build_workload(kernel, manager, rng: random.Random, *,
                 stats["l4_hangup"] += 1
                 return
             stats["l4_ok"] += 1
-            yield thread.compute(50)
+            yield from thread.compute(50)
         try:
             yield from endpoint.call(thread, "stop")
         except KernelError:

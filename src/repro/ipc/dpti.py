@@ -132,17 +132,17 @@ class DptiEndpoint:
         span = tracer.begin("dpti.call", "ipc", thread=thread) \
             if tracer.enabled else None
         # request leg: stub, trap, gate, tagged switch
-        yield thread.kwork(costs.DPTI_USER_STUB, Block.USER)
-        yield thread.kwork(costs.SYSCALL_HW, Block.SYSCALL)
-        yield thread.kwork(costs.DPTI_KERNEL_PATH, Block.KERNEL)
+        yield from thread.kwork(costs.DPTI_USER_STUB, Block.USER)
+        yield from thread.kwork(costs.SYSCALL_HW, Block.SYSCALL)
+        yield from thread.kwork(costs.DPTI_KERNEL_PATH, Block.KERNEL)
         if self.hung_up or self._owner is None or not self._owner.alive:
             if span is not None:
                 tracer.end(span, args={"fault": "hangup"})
             raise PeerResetError("dpti domain owner is dead")
         if size:
-            yield thread.kwork(kernel_copy_ns(self.kernel, size),
-                               Block.KERNEL)
-        yield thread.kwork(costs.DPTI_SWITCH, Block.PTSW)
+            yield from thread.kwork(kernel_copy_ns(self.kernel, size),
+                                    Block.KERNEL)
+        yield from thread.kwork(costs.DPTI_SWITCH, Block.PTSW)
         self.calls += 1
         self._visiting.append(thread)
         try:
@@ -162,12 +162,12 @@ class DptiEndpoint:
                 tracer.end(span, args={"fault": "hangup"})
             raise PeerResetError("dpti domain owner died mid-call")
         # return leg: tagged switch back, reply copy, half-gate, exit
-        yield thread.kwork(costs.DPTI_SWITCH, Block.PTSW)
+        yield from thread.kwork(costs.DPTI_SWITCH, Block.PTSW)
         if reply_size:
-            yield thread.kwork(kernel_copy_ns(self.kernel, reply_size),
-                               Block.KERNEL)
-        yield thread.kwork(0.5 * costs.DPTI_KERNEL_PATH, Block.KERNEL)
-        yield thread.kwork(costs.SYSCALL_HW, Block.SYSCALL)
+            yield from thread.kwork(kernel_copy_ns(self.kernel, reply_size),
+                                    Block.KERNEL)
+        yield from thread.kwork(0.5 * costs.DPTI_KERNEL_PATH, Block.KERNEL)
+        yield from thread.kwork(costs.SYSCALL_HW, Block.SYSCALL)
         if span is not None:
             tracer.end(span)
         return reply

@@ -70,13 +70,13 @@ class L4Endpoint:
 
     def _entry(self, thread: Thread):
         costs = self.kernel.costs
-        yield thread.kwork(costs.L4_USER_STUB, Block.USER)
-        yield thread.kwork(costs.SYSCALL_HW, Block.SYSCALL)
-        yield thread.kwork(costs.L4_KERNEL_PATH, Block.KERNEL)
+        yield from thread.kwork(costs.L4_USER_STUB, Block.USER)
+        yield from thread.kwork(costs.SYSCALL_HW, Block.SYSCALL)
+        yield from thread.kwork(costs.L4_KERNEL_PATH, Block.KERNEL)
 
     def _switch_cost(self, thread: Thread):
         costs = self.kernel.costs
-        yield thread.kwork(costs.L4_DIRECT_SWITCH, Block.SCHED)
+        yield from thread.kwork(costs.L4_DIRECT_SWITCH, Block.SCHED)
         # the page-table switch itself is charged by the scheduler's
         # handoff when the address space actually changes
 

@@ -59,7 +59,7 @@ class RpcServer:
             tracer = self.kernel.tracer
             span = tracer.begin("rpc.serve", "ipc", thread=thread) \
                 if tracer.enabled else None
-            yield thread.kwork(costs.RPC_SERVER_USER, Block.USER)
+            yield from thread.kwork(costs.RPC_SERVER_USER, Block.USER)
             body = yield from self.codec.decode(thread, request)
             name = body["proc"]
             if name == _SHUTDOWN:
@@ -127,7 +127,7 @@ class RpcClient:
                             args={"proc": proc, "size": size}) \
             if tracer.enabled else None
         # clnt_call bookkeeping: xid management, timeout setup, retransmit
-        yield thread.kwork(costs.RPC_CLIENT_USER, Block.USER)
+        yield from thread.kwork(costs.RPC_CLIENT_USER, Block.USER)
         wire = yield from self.codec.encode(
             thread, size,
             {"xid": xid, "proc": proc, "args": args,
@@ -158,7 +158,7 @@ class RpcClient:
                 backoff = costs.RPC_RETRY_BACKOFF * (2 ** attempt)
                 attempt += 1
                 self.retransmits += 1
-                yield thread.kwork(costs.RPC_RETRY_WORK, Block.USER)
+                yield from thread.kwork(costs.RPC_RETRY_WORK, Block.USER)
                 yield from thread.sleep(backoff)
             except (PeerResetError, KernelError):
                 if span is not None:

@@ -41,7 +41,7 @@ class SharedBuffer:
         costs = self.kernel.costs
         ns = cache.copy_ns(size, startup=costs.MEMCPY_STARTUP) if extra_copy \
             else cache.touch_ns(size)
-        yield thread.kwork(ns, Block.USER)
+        yield from thread.kwork(ns, Block.USER)
         self.payload = payload
         self.payload_size = size
 
@@ -54,5 +54,5 @@ class SharedBuffer:
         ns = cache.copy_ns(size, startup=costs.MEMCPY_STARTUP) if copy_out \
             else cache.touch_ns(size)
         if ns > 0:
-            yield thread.kwork(ns, Block.USER)
+            yield from thread.kwork(ns, Block.USER)
         return self.payload

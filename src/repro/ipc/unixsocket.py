@@ -99,7 +99,7 @@ class UnixSocket:
         (datagram semantics: no blocking on send)."""
         costs = self.kernel.costs
         yield from thread.syscall(0)
-        yield thread.kwork(costs.SOCK_SEND_WORK, Block.KERNEL)
+        yield from thread.kwork(costs.SOCK_SEND_WORK, Block.KERNEL)
         peer = self.namespace.lookup(path)
         if peer is not None and peer.reset:
             raise PeerResetError(
@@ -108,7 +108,7 @@ class UnixSocket:
             raise KernelError(f"connection refused: {path}")
         if peer._bytes + size > peer.bufsize:
             raise KernelError(f"peer buffer full: {path}")
-        yield thread.kwork(self._kernel_copy_ns(size), Block.KERNEL)
+        yield from thread.kwork(self._kernel_copy_ns(size), Block.KERNEL)
         peer._queue.append(Datagram(size, payload, self))
         peer._bytes += size
         while peer._receivers:
@@ -129,7 +129,7 @@ class UnixSocket:
         """
         costs = self.kernel.costs
         yield from thread.syscall(0)
-        yield thread.kwork(costs.SOCK_RECV_WORK, Block.KERNEL)
+        yield from thread.kwork(costs.SOCK_RECV_WORK, Block.KERNEL)
         timer = None
         expired = [False]
         if timeout_ns is not None:
@@ -165,7 +165,7 @@ class UnixSocket:
             self.kernel.engine.cancel(timer)
         dgram = self._queue.popleft()
         self._bytes -= dgram.size
-        yield thread.kwork(self._kernel_copy_ns(dgram.size), Block.KERNEL)
+        yield from thread.kwork(self._kernel_copy_ns(dgram.size), Block.KERNEL)
         return dgram.payload, dgram.sender
 
     def close(self) -> None:

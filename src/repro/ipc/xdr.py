@@ -26,11 +26,11 @@ class XDRCodec:
 
     def encode(self, thread: Thread, size: int, payload=None):
         """Sub-generator: serialize ``size`` bytes; returns wire message."""
-        yield thread.kwork(self._ns(size), Block.USER)
+        yield from thread.kwork(self._ns(size), Block.USER)
         return {"size": size, "payload": payload}
 
     def decode(self, thread: Thread, wire):
         """Sub-generator: deserialize a wire message; returns payload."""
         size = wire["size"] if wire else 0
-        yield thread.kwork(self._ns(size), Block.USER)
+        yield from thread.kwork(self._ns(size), Block.USER)
         return wire["payload"] if wire else None

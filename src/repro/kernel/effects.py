@@ -12,6 +12,15 @@ and resumes the generator with a value when appropriate:
 Composite operations (system calls, IPC primitives, dIPC proxies) are
 sub-generators used with ``yield from``, so a blocking semaphore wait is
 written exactly like straight-line code.
+
+Bodies charge CPU time with ``yield from t.compute(ns)``,
+``t.kwork(ns, block)`` or ``t.syscall(work_ns)``. These sub-generators
+charge through ``Scheduler.charge`` from inside the body's own frame:
+when the engine can fast-forward to the charge's end, the body keeps
+running without suspending its ``yield from`` chain; otherwise they
+yield :data:`SUSPENDED` (the continuation is already posted) or a
+:class:`Charge`. A bare ``yield Charge(...)`` still works and takes the
+posted path.
 """
 
 from __future__ import annotations
@@ -72,6 +81,20 @@ class Handoff:
 
     def __repr__(self) -> str:
         return f"<Handoff to={self.to.name}>"
+
+
+class _Suspended:
+    """Type of :data:`SUSPENDED`."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "<SUSPENDED>"
+
+
+#: yielded by a body whose inline charge (``Scheduler.charge``) already
+#: posted its continuation; the scheduler just ends the engine event
+SUSPENDED = _Suspended()
 
 
 def charge_user(ns: float):

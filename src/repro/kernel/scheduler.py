@@ -23,7 +23,8 @@ from collections import deque
 from typing import List, Optional, Set
 
 from repro.errors import SimulationError
-from repro.kernel.effects import BlockThread, Charge, Handoff, YieldCPU
+from repro.kernel.effects import (SUSPENDED, BlockThread, Charge,
+                                  Handoff, YieldCPU)
 from repro.kernel import thread as thread_mod
 from repro.kernel.thread import Thread
 from repro.sim.stats import Block
@@ -88,6 +89,35 @@ class Scheduler:
 
     def runnable_count(self) -> int:
         return sum(len(rq) for rq in self.runqueues)
+
+    def charge(self, thread: Thread, ns: float, block):
+        """Charge ``ns`` of ``block`` from inside ``thread``'s own body.
+
+        The inline form of a yielded :class:`Charge`, which
+        ``Thread.compute``/``kwork``/``syscall`` build on. When
+        ``thread`` is the one executing (its generator is running, it is
+        RUNNING as its CPU's ``current``, and no kill or unwind waits to
+        land at its next effect boundary), :meth:`_do_charge` runs right
+        here, so a charge the engine fast-forwards does not suspend and
+        resume the body's whole ``yield from`` chain. Returns None when
+        the thread keeps running, and :data:`SUSPENDED` when the charge
+        posted its continuation (the skip was refused, the charge split
+        at the timeslice, or the thread was preempted): the body yields
+        it and :meth:`_advance` returns. Otherwise returns
+        ``Charge(ns, block)`` for the body to yield, which takes the
+        posted path.
+        """
+        if ns < 0:
+            raise ValueError(f"negative charge: {ns}")
+        cpu = thread.cpu
+        if cpu is not None and cpu.current is thread \
+                and thread.state == thread_mod.RUNNING \
+                and thread.gen.gi_running and not thread.killed \
+                and thread.pending_exception is None:
+            if self._do_charge(cpu, thread, ns, block):
+                return None
+            return SUSPENDED
+        return Charge(ns, block)
 
     # -- CPU selection ---------------------------------------------------------------
 
@@ -213,7 +243,9 @@ class Scheduler:
         """Pull and interpret the thread's next effects.
 
         Keeps going while each Charge completes inline (see
-        :meth:`_do_charge`); every other effect ends the engine event.
+        :meth:`_do_charge`); every other effect ends the engine event,
+        :data:`SUSPENDED` (an inline :meth:`charge` already posted the
+        continuation) without further work.
         """
         while True:
             if cpu.current is not thread \
@@ -246,6 +278,8 @@ class Scheduler:
                 return
             except BaseException as exc:  # a simulated crash, not a sim bug
                 self._finish(cpu, thread, exc)
+                return
+            if effect is SUSPENDED:
                 return
             if isinstance(effect, Charge):
                 if self._do_charge(cpu, thread, effect.ns, effect.block):
@@ -298,8 +332,11 @@ class Scheduler:
         Returns True when the thread should keep running now: the
         charge's continuation was the next event, so ``Engine.skip_to``
         fired it inline instead of posting ``_after_charge``. Only
-        :meth:`_advance` calls this, as the last thing an engine event
-        does, so nothing can run between the skipped post and its pop.
+        :meth:`_advance` and :meth:`charge` call this, the one for the
+        thread it is about to resume and the other from inside that
+        thread's running body. Either way what runs next is the thread's
+        own continuation (on True) or the end of the engine event, so
+        nothing else can run between the skipped post and its pop.
         """
         billed = thread.current_process
         if self._jitter_rng is not None and ns > 0:

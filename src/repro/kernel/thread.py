@@ -14,10 +14,18 @@ from typing import Callable, Generator, List, Optional
 
 from repro.codoms.access import CodomsContext
 from repro.errors import SimulationError
-from repro.kernel.effects import BlockThread, Charge, YieldCPU
+from repro.kernel.effects import BlockThread, YieldCPU
 from repro.sim.stats import Block
 
 _tid_counter = itertools.count(1)
+
+# the charging helpers' blocks, read once: a ``Block.X`` lookup takes
+# the enum metaclass's slow attribute path, which would otherwise be
+# paid on every charge
+_USER = Block.USER
+_SYSCALL = Block.SYSCALL
+_TRAMPOLINE = Block.TRAMPOLINE
+_KERNEL = Block.KERNEL
 
 NEW = "new"
 RUNNABLE = "runnable"
@@ -83,13 +91,22 @@ class Thread:
 
     # -- effect helpers (used by bodies with `yield` / `yield from`) -----------
 
-    def compute(self, ns: float) -> Charge:
-        """User-mode computation (block 1)."""
-        return Charge(ns, Block.USER)
+    def compute(self, ns: float):
+        """Sub-generator: user-mode computation (block 1).
 
-    def kwork(self, ns: float, block: Block = Block.KERNEL) -> Charge:
-        """Kernel/privileged-mode computation."""
-        return Charge(ns, block)
+        Charges through ``Scheduler.charge`` and yields only when the
+        charge cannot complete inside the running body (see
+        :mod:`repro.kernel.effects`).
+        """
+        effect = self.kernel.scheduler.charge(self, ns, _USER)
+        if effect is not None:
+            yield effect
+
+    def kwork(self, ns: float, block: Block = Block.KERNEL):
+        """Sub-generator: kernel/privileged-mode computation."""
+        effect = self.kernel.scheduler.charge(self, ns, block)
+        if effect is not None:
+            yield effect
 
     def block(self, reason: str = "") -> BlockThread:
         return BlockThread(reason)
@@ -104,10 +121,17 @@ class Thread:
         trampoline) and ``work_ns`` of block 4.
         """
         costs = self.kernel.costs
-        yield Charge(costs.SYSCALL_HW, Block.SYSCALL)
-        yield Charge(costs.SYSCALL_TRAMPOLINE, Block.TRAMPOLINE)
+        charge = self.kernel.scheduler.charge
+        effect = charge(self, costs.SYSCALL_HW, _SYSCALL)
+        if effect is not None:
+            yield effect
+        effect = charge(self, costs.SYSCALL_TRAMPOLINE, _TRAMPOLINE)
+        if effect is not None:
+            yield effect
         if work_ns > 0:
-            yield Charge(work_ns, Block.KERNEL)
+            effect = charge(self, work_ns, _KERNEL)
+            if effect is not None:
+                yield effect
 
     def sleep(self, ns: float):
         """Sub-generator: block for ``ns`` of simulated time."""

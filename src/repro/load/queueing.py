@@ -130,7 +130,7 @@ class AdmissionGate:
         """
         from repro.sim.stats import Block
         # admission check: a futex-class user/kernel handshake
-        yield thread.kwork(thread.costs.FUTEX_WAIT_WORK, Block.KERNEL)
+        yield from thread.kwork(thread.costs.FUTEX_WAIT_WORK, Block.KERNEL)
         if self.in_flight < self.depth:
             return self._take()
         if self.policy == "shed":

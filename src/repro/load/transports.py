@@ -422,7 +422,7 @@ class DipcChannel(Channel):
         def serve_entry(t, message):
             extra_ns, payload = message
             if extra_ns:
-                yield t.compute(extra_ns)
+                yield from t.compute(extra_ns)
             yield from self.serve(t, payload)
             return "ok"
 
@@ -549,7 +549,7 @@ class Transport:
 
     def serve(self, t, payload):
         """The server's service body."""
-        yield t.compute(self.params.service_ns)
+        yield from t.compute(self.params.service_ns)
 
     def call(self, thread, client_id: int):
         # load clients are sticky: a client keeps its endpoint shard

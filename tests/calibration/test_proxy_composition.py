@@ -50,7 +50,7 @@ def measure_call(policy: IsolationPolicy, cross_process: bool) -> float:
         dom = manager.dom_create(caller)
 
     def target(t, x):
-        yield t.compute(0.0)
+        yield from t.compute(0.0)
         return x
 
     handle = manager.entry_register(callee, dom, [EntryDescriptor(

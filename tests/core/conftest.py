@@ -34,7 +34,7 @@ def make_query_entry(manager, database, *, policy=None, func=None):
     """Register a one-entry 'query' array in the database's default domain."""
     if func is None:
         def func(t, key):  # the exported implementation
-            yield t.compute(5)
+            yield from t.compute(5)
             return ("row", key)
 
     descriptor = EntryDescriptor(

@@ -19,7 +19,7 @@ def test_async_call_overlaps_with_caller_work(kernel, manager, web,
 
     def body(t):
         future = call_async(t, proxy, "k", pin=1)
-        yield t.compute(2_000)  # caller keeps working meanwhile
+        yield from t.compute(2_000)  # caller keeps working meanwhile
         timeline.append(("worked", t.now()))
         result = yield from future.wait(t)
         timeline.append(("joined", t.now()))
@@ -35,7 +35,7 @@ def test_async_call_overlaps_with_caller_work(kernel, manager, web,
 
 def test_async_fault_delivered_at_wait(kernel, manager, web, database):
     def buggy(t, key):
-        yield t.compute(1)
+        yield from t.compute(1)
         raise ValueError("nope")
 
     _, proxy = wire_up_call(manager, web, database, func=buggy)

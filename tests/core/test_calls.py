@@ -88,7 +88,7 @@ def test_current_process_switches_during_call(kernel, manager, web,
 
     def spy(t, key):
         observed.append(t.current_process.name)
-        yield t.compute(1)
+        yield from t.compute(1)
         return key
 
     address, _ = wire_up_call(manager, web, database, func=spy)
@@ -140,7 +140,7 @@ def test_nested_cross_process_calls(kernel, manager, web, database):
     storage = kernel.spawn_process("storage", dipc=True)
 
     def fetch(t, key):
-        yield t.compute(2)
+        yield from t.compute(2)
         return f"disk:{key}"
 
     inner_address, _ = wire_up_call(manager, database, storage, func=fetch)
@@ -170,7 +170,7 @@ def test_same_process_domain_call_has_no_track(kernel, manager, web):
     sandbox_dom = manager.dom_create(web)
 
     def helper(t, x):
-        yield t.compute(1)
+        yield from t.compute(1)
         return x * 2
 
     descriptor = EntryDescriptor(signature=Signature(in_regs=1, out_regs=1),
@@ -199,7 +199,7 @@ def test_high_policy_call_uses_separate_stack_and_dcs(kernel, manager, web,
         # with stack confidentiality the callee runs on its own stack
         stack = t.kernel.dipc.stacks.stack_for(t, database)
         seen.append(stack)
-        yield t.compute(1)
+        yield from t.compute(1)
         return key
 
     address, proxy = wire_up_call(
@@ -229,7 +229,7 @@ def test_dcs_integrity_hides_caller_entries(kernel, manager, web, database):
             leaked.append(t.codoms.dcs.pop())
         except Exception:
             leaked.append(None)
-        yield t.compute(1)
+        yield from t.compute(1)
         return key
 
     address, _ = wire_up_call(

@@ -25,7 +25,7 @@ def test_capability_passes_buffer_by_reference(kernel, manager, web,
         t.codoms.install_cap(0, cap)   # callee loads the capability
         seen.append(kernel.access.read(t.codoms, addr, size, t))
         t.codoms.install_cap(0, None)
-        yield t.compute(1)
+        yield from t.compute(1)
         return "ok"
 
     address, _ = wire_up_call(manager, web, database, func=query)
@@ -49,7 +49,7 @@ def test_callee_cannot_use_capability_after_revocation(kernel, manager,
 
     def thief(t, request):
         stash["cap"], stash["addr"] = request
-        yield t.compute(1)
+        yield from t.compute(1)
         return "ok"
 
     address, _ = wire_up_call(manager, web, database, func=thief)
@@ -61,7 +61,7 @@ def test_callee_cannot_use_capability_after_revocation(kernel, manager,
             kernel.access.read(t.codoms, stash["addr"], 4, t)
         except AccessFault:
             denied.append(True)
-        yield t.compute(1)
+        yield from t.compute(1)
         return "done"
 
     address2, _ = wire_up_call(manager, web, database, func=snoop)
@@ -99,7 +99,7 @@ def test_long_lived_pool_via_domain_grant(kernel, manager, web, database):
         # read-only: writes are still refused
         with pytest.raises(AccessFault):
             kernel.access.write(t.codoms, pool, b"xx", t)
-        yield t.compute(1)
+        yield from t.compute(1)
 
     kernel.spawn(web, body)
     kernel.run()
@@ -127,7 +127,7 @@ def test_direct_code_access_bypasses_proxies(kernel, manager, web,
         kernel.access.check_call(t.codoms, code_addr + 24, t)
         observed.append((t.current_process.name, t.current_process.uid,
                          t.codoms.current_tag))
-        yield t.compute(1)
+        yield from t.compute(1)
 
     kernel.spawn(web, body)
     kernel.run()

@@ -11,7 +11,7 @@ from tests.core.conftest import wire_up_call
 
 def test_callee_crash_becomes_remote_fault(kernel, manager, web, database):
     def buggy(t, key):
-        yield t.compute(1)
+        yield from t.compute(1)
         raise ValueError("corrupt row")
 
     address, _ = wire_up_call(manager, web, database, func=buggy)
@@ -34,7 +34,7 @@ def test_callee_crash_becomes_remote_fault(kernel, manager, web, database):
 
 def test_caller_state_restored_after_fault(kernel, manager, web, database):
     def buggy(t, key):
-        yield t.compute(1)
+        yield from t.compute(1)
         raise RuntimeError("boom")
 
     address, _ = wire_up_call(manager, web, database, func=buggy)
@@ -59,7 +59,7 @@ def test_nested_crash_unwinds_one_level(kernel, manager, web, database):
     storage = kernel.spawn_process("storage", dipc=True)
 
     def exploding(t, key):
-        yield t.compute(1)
+        yield from t.compute(1)
         raise ValueError("disk on fire")
 
     inner, _ = wire_up_call(manager, database, storage, func=exploding)
@@ -231,7 +231,7 @@ class TestTimeouts:
     def test_callee_error_before_timeout_propagates(self, kernel, manager,
                                                     web, database):
         def buggy(t, key):
-            yield t.compute(1)
+            yield from t.compute(1)
             raise ValueError("boom")
 
         _, proxy = wire_up_call(

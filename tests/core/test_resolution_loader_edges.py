@@ -25,7 +25,7 @@ def simple_db_module():
 
     @module.entry("default", Signature(in_regs=1, out_regs=1))
     def get(t, key):
-        yield t.compute(5)
+        yield from t.compute(5)
         return key
 
     return module

@@ -26,7 +26,7 @@ def build_database_module():
     @module.entry("default", Signature(in_regs=1, out_regs=1),
                   iso_callee=IsolationPolicy(dcs_confidentiality=True))
     def query(t, key):
-        yield t.compute(10)
+        yield from t.compute(10)
         return ("row", key)
 
     return module
@@ -60,12 +60,12 @@ def test_duplicate_entry_rejected():
 
     @module.entry("default", Signature())
     def f(t):
-        yield t.compute(1)
+        yield from t.compute(1)
 
     with pytest.raises(LoaderError):
         @module.entry("default", Signature(), name="f")
         def g(t):
-            yield t.compute(1)
+            yield from t.compute(1)
 
 
 def test_full_figure3_workflow(kernel, runtime):

@@ -27,7 +27,7 @@ class TestP1_ExplicitGrants:
 
         def body(t):
             kernel.access.read(t.codoms, db_data, 6, t)
-            yield t.compute(1)
+            yield from t.compute(1)
 
         thread = kernel.spawn(web, body)
         kernel.run()
@@ -44,7 +44,7 @@ class TestP1_ExplicitGrants:
 
         def body(t):
             got.append(kernel.access.read(t.codoms, db_data, 6, t))
-            yield t.compute(1)
+            yield from t.compute(1)
 
         kernel.spawn(web, body)
         kernel.run()
@@ -60,7 +60,7 @@ class TestP1_ExplicitGrants:
 
         def body(t):
             kernel.access.read(t.codoms, web_data, 1, t)
-            yield t.compute(1)
+            yield from t.compute(1)
 
         thread = kernel.spawn(database, body)
         kernel.run()
@@ -83,7 +83,7 @@ class TestP1_ExplicitGrants:
 
         def body(t):
             kernel.access.read(t.codoms, db_data, 1, t)
-            yield t.compute(1)
+            yield from t.compute(1)
 
         thread = kernel.spawn(web, body)
         kernel.run()
@@ -116,7 +116,7 @@ class TestP2_EntryPointsOnly:
 
         def body(t):
             kernel.access.check_call(t.codoms, address + 8, t)
-            yield t.compute(1)
+            yield from t.compute(1)
 
         thread = kernel.spawn(web, body)
         kernel.run()
@@ -129,7 +129,7 @@ class TestP2_EntryPointsOnly:
 
         def body(t):
             kernel.access.read(t.codoms, address, 8, t)  # read proxy code
-            yield t.compute(1)
+            yield from t.compute(1)
 
         thread = kernel.spawn(web, body)
         kernel.run()
@@ -145,7 +145,7 @@ class TestP3_ReturnsAreSafe:
             # the callee scribbles on what it can reach; the KCS copy of
             # the caller's state is out of its reach
             t.codoms.privileged = False
-            yield t.compute(1)
+            yield from t.compute(1)
             return key
 
         address, _ = wire_up_call(manager, web, database, func=meddler)
@@ -170,7 +170,7 @@ class TestP3_ReturnsAreSafe:
 
         def flaky(t, key):
             calls["n"] += 1
-            yield t.compute(1)
+            yield from t.compute(1)
             if calls["n"] % 2:
                 raise RuntimeError("intermittent")
             return key
@@ -214,7 +214,7 @@ class TestP5_FaultContainment:
                                                         manager, web,
                                                         database):
         def crasher(t, key):
-            yield t.compute(1)
+            yield from t.compute(1)
             raise MemoryError("heap corruption in the database")
 
         address, _ = wire_up_call(manager, web, database, func=crasher)
@@ -225,7 +225,7 @@ class TestP5_FaultContainment:
                 yield from t.kernel.dipc.call(t, address, "k")
             except RemoteFault as fault:
                 outcomes.append(("fault", fault.origin))
-            yield t.compute(10)
+            yield from t.compute(10)
             outcomes.append(("alive", t.current_process.name))
 
         kernel.spawn(web, body)
@@ -245,7 +245,7 @@ class TestP5_FaultContainment:
         def strict_callee(t, key):
             observed.append(
                 t.kernel.dipc.stacks.stack_for(t, database))
-            yield t.compute(1)
+            yield from t.compute(1)
             return key
 
         # caller requests *nothing* (a 'broken' stub); callee demands

@@ -17,7 +17,7 @@ def kernel():
 
 def _spin(thread, loops=50, ns=100):
     for _ in range(loops):
-        yield thread.compute(ns)
+        yield from thread.compute(ns)
 
 
 # -- engine event-count triggers ---------------------------------------------
@@ -224,7 +224,7 @@ def test_auditor_flags_unsanctioned_crash(kernel):
     proc = kernel.spawn_process("p")
 
     def bomb(t):
-        yield t.compute(10)
+        yield from t.compute(10)
         raise RuntimeError("not a chaos fault")
 
     kernel.spawn(proc, bomb)

@@ -25,7 +25,7 @@ def test_call_runs_handler_inline_and_returns_reply(kernel):
 
     def handler(t, payload):
         seen.append(payload)
-        yield t.compute(10.0)
+        yield from t.compute(10.0)
         return payload * 2
 
     endpoint, server = _endpoint(kernel, handler)
@@ -48,7 +48,7 @@ def test_call_runs_handler_inline_and_returns_reply(kernel):
 
 def test_larger_arguments_cost_more_simulated_time(kernel):
     def handler(t, payload):
-        yield t.compute(0.0)
+        yield from t.compute(0.0)
         return "ok"
 
     endpoint, _ = _endpoint(kernel, handler)
@@ -103,7 +103,7 @@ def test_owner_death_mid_call_unwinds_and_retires_the_pcid(kernel):
 
 def test_call_against_hung_up_endpoint_fails_fast(kernel):
     def handler(t, payload):
-        yield t.compute(0.0)
+        yield from t.compute(0.0)
         return "ok"
 
     endpoint, server = _endpoint(kernel, handler)
@@ -150,7 +150,7 @@ def test_handler_swallowing_the_unwind_cannot_hide_the_hangup(kernel):
 
 def test_rebinding_retires_the_previous_tagged_context(kernel):
     def handler(t, payload):
-        yield t.compute(0.0)
+        yield from t.compute(0.0)
         return "ok"
 
     endpoint, first = _endpoint(kernel, handler)

@@ -34,7 +34,7 @@ def run_race(*, compute_ns, deadline_ns, requests, client_pin=0,
     def server(t):
         caller, msg = yield from endpoint.wait(t)
         while True:
-            yield t.compute(compute_ns if msg % 3 == 0 else 100.0)
+            yield from t.compute(compute_ns if msg % 3 == 0 else 100.0)
             caller, msg = yield from endpoint.reply_and_wait(
                 t, caller, ("ack", msg))
 

@@ -240,7 +240,7 @@ def _make_server(kernel, ns, path="/srv/echo"):
     server = RpcServer(kernel, server_proc, ns, path)
 
     def echo(t, args):
-        yield t.compute(2)
+        yield from t.compute(2)
         return 8, ("echo", args)
 
     server.register("echo", echo)

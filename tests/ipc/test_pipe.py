@@ -44,7 +44,7 @@ def test_read_blocks_until_write(kernel, proc):
         events.append("read-done")
 
     def writer(t):
-        yield t.compute(5000)
+        yield from t.compute(5000)
         events.append("writing")
         yield from pipe.write(t, 4)
 
@@ -65,7 +65,7 @@ def test_writer_blocks_when_full(kernel, proc):
         events.append("second-written")
 
     def reader(t):
-        yield t.compute(20000)
+        yield from t.compute(20000)
         events.append("draining")
         yield from pipe.read(t)
 

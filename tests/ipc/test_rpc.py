@@ -22,11 +22,11 @@ def make_echo_server(kernel, ns, path="/srv/echo"):
     server = RpcServer(kernel, server_proc, ns, path)
 
     def echo(t, args):
-        yield t.compute(2)
+        yield from t.compute(2)
         return 8, ("echo", args)
 
     def boom(t, args):
-        yield t.compute(2)
+        yield from t.compute(2)
         return 4, KernelError("handler failed")
 
     server.register("echo", echo)

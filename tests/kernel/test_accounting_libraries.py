@@ -23,7 +23,7 @@ class TestCpuAccounting:
         proc = kernel.spawn_process("p")
 
         def body(t):
-            yield t.compute(1000)
+            yield from t.compute(1000)
 
         kernel.spawn(proc, body)
         kernel.run()
@@ -37,16 +37,16 @@ class TestCpuAccounting:
         database = kernel.spawn_process("database", dipc=True)
 
         def heavy_query(t, key):
-            yield t.compute(50_000)
+            yield from t.compute(50_000)
             return key
 
         address, _ = wire_up_call(manager, web, database,
                                   func=heavy_query)
 
         def body(t):
-            yield t.compute(10_000)
+            yield from t.compute(10_000)
             yield from t.kernel.dipc.call(t, address, "k")
-            yield t.compute(5_000)
+            yield from t.compute(5_000)
 
         kernel.spawn(web, body, pin=0)
         kernel.run()

@@ -57,7 +57,7 @@ class TestHandoff:
         handed_at = []
 
         def sender(t):
-            yield t.compute(100)
+            yield from t.compute(100)
             handed_at.append(t.now())
             yield Handoff(target, "payload")
             log.append(("sender-back", t.now()))
@@ -73,12 +73,12 @@ class TestHandoff:
     def test_handoff_to_running_thread_is_an_error(self, kernel, proc):
         def spinner(t):
             while True:
-                yield t.compute(100)
+                yield from t.compute(100)
 
         target = kernel.spawn(proc, spinner, pin=1)
 
         def sender(t):
-            yield t.compute(10)
+            yield from t.compute(10)
             yield Handoff(target, None)
 
         sender_thread = kernel.spawn(proc, sender, pin=0)
@@ -93,7 +93,7 @@ class TestHandoff:
         target = kernel.spawn(proc, sleeper, pin=1)
 
         def sender(t):
-            yield t.compute(10)
+            yield from t.compute(10)
             yield Handoff(target, None)
 
         # let the sleeper block on CPU1 first
@@ -112,7 +112,7 @@ class TestHandoff:
         target = kernel.spawn(proc_b, receiver, pin=0)
 
         def sender(t):
-            yield t.compute(10)
+            yield from t.compute(10)
             yield Handoff(target, None)
 
         kernel.spawn(proc_a, sender, pin=0)

@@ -40,7 +40,7 @@ def test_wait_blocks_until_wake(kernel, proc):
         order.append("woken")
 
     def waker(t):
-        yield t.compute(500)
+        yield from t.compute(500)
         order.append("waking")
         yield from futex.wake(t)
 
@@ -83,7 +83,7 @@ def test_wake_count_releases_multiple_waiters(kernel, proc):
         kernel.spawn(proc, lambda t, i=i: waiter(t, i))
 
     def waker(t):
-        yield t.compute(100)
+        yield from t.compute(100)
         yield from futex.wake(t, count=3)
 
     kernel.spawn(proc, waker)
@@ -130,7 +130,7 @@ def test_two_waiters_one_token_only_one_proceeds(kernel, proc):
     kernel.spawn(proc, lambda t: waiter(t, 1))
 
     def waker(t):
-        yield t.compute(10)
+        yield from t.compute(10)
         yield from futex.wake(t, count=1)
 
     kernel.spawn(proc, waker)

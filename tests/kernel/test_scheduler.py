@@ -18,9 +18,9 @@ def proc(kernel):
 
 def test_context_switch_charges_block5(kernel, proc):
     def body(t):
-        yield t.compute(10)
+        yield from t.compute(10)
         yield from t.sleep(100)
-        yield t.compute(10)
+        yield from t.compute(10)
 
     kernel.spawn(proc, body, pin=0)
     kernel.spawn(proc, body, pin=0)
@@ -35,7 +35,7 @@ def test_page_table_switch_charged_across_processes(kernel):
 
     def body(t):
         for _ in range(3):
-            yield t.compute(10)
+            yield from t.compute(10)
             yield t.yield_cpu()
 
     kernel.spawn(pa, body, pin=0)
@@ -47,7 +47,7 @@ def test_page_table_switch_charged_across_processes(kernel):
 def test_no_page_table_switch_within_one_process(kernel, proc):
     def body(t):
         for _ in range(3):
-            yield t.compute(10)
+            yield from t.compute(10)
             yield t.yield_cpu()
 
     kernel.spawn(proc, body, pin=0)
@@ -60,7 +60,7 @@ def test_timeslice_preemption_interleaves_cpu_hogs(kernel, proc):
     slice_ns = kernel.costs.TIMESLICE
 
     def hog(t):
-        yield t.compute(3 * slice_ns)
+        yield from t.compute(3 * slice_ns)
 
     kernel.spawn(proc, hog, pin=0, name="hog-a")
     kernel.spawn(proc, hog, pin=0, name="hog-b")
@@ -70,7 +70,7 @@ def test_timeslice_preemption_interleaves_cpu_hogs(kernel, proc):
 
 def test_single_thread_never_preempted(kernel, proc):
     def hog(t):
-        yield t.compute(10 * kernel.costs.TIMESLICE)
+        yield from t.compute(10 * kernel.costs.TIMESLICE)
 
     kernel.spawn(proc, hog, pin=0)
     kernel.run()
@@ -84,9 +84,9 @@ def test_cross_cpu_wake_of_idle_cpu_uses_ipi(kernel, proc):
     target = kernel.spawn(proc, sleeper, pin=1)
 
     def waker(t):
-        yield t.compute(10)
+        yield from t.compute(10)
         t.kernel.wake(target, from_thread=t)
-        yield t.compute(10)
+        yield from t.compute(10)
 
     kernel.spawn(proc, waker, pin=0)
     kernel.run()
@@ -104,9 +104,9 @@ def test_same_cpu_wake_has_no_ipi(kernel, proc):
     target = kernel.spawn(proc, sleeper, pin=0)
 
     def waker(t):
-        yield t.compute(10)
+        yield from t.compute(10)
         t.kernel.wake(target, from_thread=t)
-        yield t.compute(10)
+        yield from t.compute(10)
 
     kernel.spawn(proc, waker, pin=0)
     kernel.run()
@@ -117,9 +117,9 @@ def test_same_cpu_wake_has_no_ipi(kernel, proc):
 def test_time_conservation_on_busy_cpu(kernel, proc):
     """Busy + idle time on a CPU must equal elapsed wall-clock."""
     def body(t):
-        yield t.compute(500)
+        yield from t.compute(500)
         yield from t.sleep(300)
-        yield t.compute(200)
+        yield from t.compute(200)
 
     kernel.spawn(proc, body, pin=0)
     kernel.run()
@@ -132,7 +132,7 @@ def test_kill_process_cancels_threads(kernel):
 
     def forever(t):
         while True:
-            yield t.compute(100)
+            yield from t.compute(100)
 
     def blocked(t):
         yield t.block("never")
@@ -148,7 +148,7 @@ def test_kill_process_cancels_threads(kernel):
 
 def test_runnable_count(kernel, proc):
     def hog(t):
-        yield t.compute(10 * kernel.costs.TIMESLICE)
+        yield from t.compute(10 * kernel.costs.TIMESLICE)
 
     kernel.spawn(proc, hog, pin=0)
     kernel.spawn(proc, hog, pin=0)

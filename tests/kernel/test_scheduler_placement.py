@@ -29,13 +29,13 @@ def test_cache_hot_wakee_stays_on_busy_last_cpu(kernel, proc):
     wakee = kernel.spawn(proc, pingpong, name="wakee")
 
     def hog(t):
-        yield t.compute(200_000)
+        yield from t.compute(200_000)
 
     def driver(t):
         # let the wakee run once (on CPU0) so it becomes cache-hot there
-        yield t.compute(10)
+        yield from t.compute(10)
         t.kernel.wake(wakee, "first", from_thread=t)
-        yield t.compute(10)
+        yield from t.compute(10)
         yield from t.sleep(1000)
         # now occupy CPU0 and wake the (hot) wakee again
         t.kernel.spawn(proc, hog, pin=0, name="hog")
@@ -56,10 +56,10 @@ def test_cold_thread_is_stolen_by_idle_cpu(kernel, proc):
     migration = kernel.costs.SCHED_MIGRATION_COST
 
     def worker(t):
-        yield t.compute(100)
+        yield from t.compute(100)
 
     def hog(t):
-        yield t.compute(3 * migration)
+        yield from t.compute(3 * migration)
 
     kernel.spawn(proc, hog, pin=None, name="hog")
     # a second thread lands behind the hog; once it turns cold, CPU1
@@ -74,10 +74,10 @@ def test_cold_thread_is_stolen_by_idle_cpu(kernel, proc):
 
 def test_pinned_threads_are_never_stolen(kernel, proc):
     def hog(t):
-        yield t.compute(5 * kernel.costs.SCHED_MIGRATION_COST)
+        yield from t.compute(5 * kernel.costs.SCHED_MIGRATION_COST)
 
     def worker(t):
-        yield t.compute(100)
+        yield from t.compute(100)
 
     kernel.spawn(proc, hog, pin=0, name="hog")
     pinned = kernel.spawn(proc, worker, pin=0, name="pinned")
@@ -90,10 +90,10 @@ def test_steal_counter_increments_when_stealing_happens(kernel, proc):
     """Force a clean steal: one CPU holds a long-running thread plus a
     *cold* queued thread; the other CPU is idle and pulls it."""
     def hog(t):
-        yield t.compute(10 * kernel.costs.SCHED_MIGRATION_COST)
+        yield from t.compute(10 * kernel.costs.SCHED_MIGRATION_COST)
 
     def late_worker(t):
-        yield t.compute(1000)
+        yield from t.compute(1000)
 
     kernel.spawn(proc, hog, pin=None, name="hog")
 
@@ -115,7 +115,7 @@ def test_conservation_across_many_threads(kernel, proc):
     """Total accounted time (busy + idle) equals CPUs x wall clock."""
     def body(t, n):
         for _ in range(n):
-            yield t.compute(500)
+            yield from t.compute(500)
             yield from t.sleep(300)
 
     for i in range(6):

@@ -18,7 +18,7 @@ def proc(kernel):
 
 def test_thread_runs_and_returns(kernel, proc):
     def body(t):
-        yield t.compute(100)
+        yield from t.compute(100)
         return 42
 
     thread = kernel.spawn(proc, body)
@@ -29,7 +29,7 @@ def test_thread_runs_and_returns(kernel, proc):
 
 def test_compute_advances_time_and_charges_user(kernel, proc):
     def body(t):
-        yield t.compute(250)
+        yield from t.compute(250)
 
     kernel.spawn(proc, body, pin=0)
     kernel.run()
@@ -59,7 +59,7 @@ def test_block_and_wake_passes_value(kernel, proc):
     thread = kernel.spawn(proc, sleeper)
 
     def waker(t):
-        yield t.compute(50)
+        yield from t.compute(50)
         t.kernel.wake(thread, "payload", from_thread=t)
 
     kernel.spawn(proc, waker)
@@ -81,7 +81,7 @@ def test_sleep_blocks_for_duration(kernel, proc):
 
 def test_join_returns_result(kernel, proc):
     def worker(t):
-        yield t.compute(10)
+        yield from t.compute(10)
         return "done"
 
     results = []
@@ -97,7 +97,7 @@ def test_join_returns_result(kernel, proc):
 
 def test_join_reraises_exception(kernel, proc):
     def crasher(t):
-        yield t.compute(1)
+        yield from t.compute(1)
         raise ValueError("boom")
 
     caught = []
@@ -116,7 +116,7 @@ def test_join_reraises_exception(kernel, proc):
 
 def test_crash_is_recorded_and_check_raises(kernel, proc):
     def body(t):
-        yield t.compute(1)
+        yield from t.compute(1)
         raise RuntimeError("unhandled")
 
     kernel.spawn(proc, body)
@@ -129,7 +129,7 @@ def test_crash_is_recorded_and_check_raises(kernel, proc):
 def test_pinned_threads_stay_on_their_cpu(kernel, proc):
     def body(t):
         for _ in range(5):
-            yield t.compute(10)
+            yield from t.compute(10)
             yield t.yield_cpu()
 
     a = kernel.spawn(proc, body, pin=0)
@@ -143,7 +143,7 @@ def test_pinned_threads_stay_on_their_cpu(kernel, proc):
 
 def test_unpinned_threads_spread_across_idle_cpus(kernel, proc):
     def body(t):
-        yield t.compute(1000)
+        yield from t.compute(1000)
 
     threads = [kernel.spawn(proc, body) for _ in range(2)]
     kernel.run()
@@ -171,7 +171,7 @@ def test_non_effect_yield_is_a_crash(kernel, proc):
 
 def test_wake_is_level_triggered_and_idempotent(kernel, proc):
     def body(t):
-        yield t.compute(5)
+        yield from t.compute(5)
 
     thread = kernel.spawn(proc, body)
     kernel.wake(thread)  # extra wake while runnable is harmless

@@ -90,7 +90,7 @@ def test_socket_shardless_call_unbinds_its_reply_path():
 
     def serve(t, payload):
         bound_during_call.append(transport.ns.lookup("/load/r1"))
-        yield t.compute(100.0)
+        yield from t.compute(100.0)
 
     transport.channel.serve = serve
     assert _drive(kernel, transport, [("x", None)]) == ["ok"]

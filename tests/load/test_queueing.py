@@ -25,7 +25,7 @@ def _consumer(queue, got):
             if item is None:
                 return
             got.append(item)
-            yield t.compute(100)
+            yield from t.compute(100)
     return consumer
 
 
@@ -45,7 +45,7 @@ def test_shed_queue_drops_burst_past_depth(kernel, proc):
     got, accepted = [], []
 
     def producer(t):
-        yield t.compute(10)  # let the consumer park in get() first
+        yield from t.compute(10)  # let the consumer park in get() first
         accepted.extend(queue.put(i) for i in range(5))
         queue.close()
 
@@ -64,7 +64,7 @@ def test_block_queue_delivers_every_arrival_in_order(kernel, proc):
     got = []
 
     def producer(t):
-        yield t.compute(10)
+        yield from t.compute(10)
         assert all(queue.put(i) for i in range(5))
         queue.close()
 
@@ -81,7 +81,7 @@ def test_close_wakes_parked_consumer_with_none(kernel, proc):
     got = []
 
     def closer(t):
-        yield t.compute(500)
+        yield from t.compute(500)
         queue.close()
 
     kernel.spawn(proc, _consumer(queue, got), name="loadq/c")
@@ -164,7 +164,7 @@ def test_deadline_timer_cancelled_when_subgen_finishes_first(kernel, proc):
     results = []
 
     def quick(t):
-        yield t.compute(100)
+        yield from t.compute(100)
         return "ok"
 
     def request(t):

@@ -18,9 +18,9 @@ def traced_session():
         proc = kernel.spawn_process("worker")
 
         def body(t):
-            yield t.compute(50)
+            yield from t.compute(50)
             yield t.yield_cpu()
-            yield t.compute(25)
+            yield from t.compute(25)
 
         kernel.spawn(proc, body, name="w0", pin=0)
         kernel.spawn(proc, body, name="w1", pin=0)
@@ -75,7 +75,7 @@ def test_multiple_runs_get_distinct_pid_blocks():
             proc = kernel.spawn_process("p")
 
             def body(t):
-                yield t.compute(10)
+                yield from t.compute(10)
 
             kernel.spawn(proc, body, pin=0)
             kernel.run()

@@ -132,7 +132,7 @@ def test_traced_run_records_scheduler_spans_and_harvests_counters():
         proc = kernel.spawn_process("worker")
 
         def body(t):
-            yield t.compute(100)
+            yield from t.compute(100)
 
         kernel.spawn(proc, body, name="w0", pin=0)
         kernel.run()
@@ -151,7 +151,7 @@ def test_finalize_is_idempotent():
         proc = kernel.spawn_process("p")
 
         def body(t):
-            yield t.compute(10)
+            yield from t.compute(10)
 
         kernel.spawn(proc, body, pin=0)
         kernel.run()
@@ -172,7 +172,7 @@ def test_tracing_does_not_change_simulated_time():
 
         def body(t):
             for _ in range(5):
-                yield t.compute(37)
+                yield from t.compute(37)
                 yield t.yield_cpu()
 
         kernel.spawn(pa, body, pin=0)
