@@ -36,14 +36,6 @@ the standalone storm harness, writes the injection log to
 ``--out``/chaos.log, verifies the log is byte-identical for the same
 seed, and exits non-zero on any invariant violation.
 
-``python -m repro.experiments bench [--quick] [--jobs N] [--out DIR]
-[--label L]`` times the quick suite cold-serial, cold-parallel and
-warm-cached, plus an engine micro-benchmark; it writes
-``DIR/BENCH_PR8.json`` and appends the payload to the
-``bench/results/`` history. ``bench --compare [--tolerance F]`` diffs
-the two newest history entries and exits non-zero on a regression
-beyond the tolerance.
-
 ``python -m repro.experiments check <target> [--schedules N] [--seed S]
 [--chaos] [--strategy random|perturb] [--jobs N] [--shrink] [--out DIR]
 [--topo-n N]`` explores N interleavings of a figure driver or a
@@ -280,15 +272,6 @@ def _run_traced(name: str, quick: bool, out_dir: str,
     return 0
 
 
-def _run_bench_cli(args) -> int:
-    """The ``bench`` verb (see :mod:`repro.experiments.bench`)."""
-    from repro.experiments import bench
-    if args.compare:
-        return bench.compare(tolerance=args.tolerance)
-    return bench.run_bench(args.quick, args.jobs, args.out,
-                           label=args.label)
-
-
 def _run_chaos_cli(seed: int, storms: int, quick: bool,
                    out_dir: str, jobs: int = 0) -> int:
     """Run fault storms; write the injection log; non-zero on failure."""
@@ -315,11 +298,10 @@ def main(argv=None) -> int:
     parser.add_argument("names", nargs="*", default=["all"],
                         help="'run' (optional verb) followed by "
                              f"experiments: {', '.join(RUNNERS)}, or "
-                             "'all'; 'bench' times the point runner; "
-                             "'check <target>' explores interleavings; "
-                             "'conformance' sweeps the kill-point "
-                             "recovery matrix; 'chaos' is a deprecated "
-                             "alias for the storm harness")
+                             "'all'; 'check <target>' explores "
+                             "interleavings; 'conformance' sweeps the "
+                             "kill-point recovery matrix; 'chaos' is a "
+                             "deprecated alias for the storm harness")
     parser.add_argument("--quick", action="store_true",
                         help="smaller iteration counts / windows")
     parser.add_argument("--jobs", type=int, default=0,
@@ -366,19 +348,6 @@ def main(argv=None) -> int:
     parser.add_argument("--storms", type=int, default=25,
                         help="deprecated 'chaos' subcommand: number of "
                              "fault storms (default 25)")
-    parser.add_argument("--compare", action="store_true",
-                        help="'bench' verb: compare the two newest "
-                             "bench/results/ history entries instead "
-                             "of running; exits non-zero on a "
-                             "regression beyond --tolerance")
-    parser.add_argument("--tolerance", type=float, default=0.10,
-                        help="'bench --compare': allowed fractional "
-                             "regression per gated metric "
-                             "(default 0.10)")
-    parser.add_argument("--label", default="run",
-                        help="'bench' verb: label for the appended "
-                             "bench/results/ history entry "
-                             "(default 'run')")
     parser.add_argument("--schedules", type=int, default=25,
                         help="'check' verb: number of interleavings to "
                              "explore per target (default 25)")
@@ -425,8 +394,6 @@ def main(argv=None) -> int:
                           jobs=args.jobs, out_dir=out_dir,
                           cache=_make_cache(args) if args.jobs > 0
                           else None)
-    if names[0] == "bench" and len(names) == 1:
-        return _run_bench_cli(args)
     if names[0] == "chaos" and len(names) == 1:
         print("warning: the 'chaos' subcommand is deprecated; the "
               "storm harness keeps it working, and 'run <fig> --chaos' "

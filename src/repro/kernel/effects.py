@@ -95,13 +95,3 @@ class _Suspended:
 #: yielded by a body whose inline charge (``Scheduler.charge``) already
 #: posted its continuation; the scheduler just ends the engine event
 SUSPENDED = _Suspended()
-
-
-def charge_user(ns: float):
-    """Sub-generator: consume user time (block 1)."""
-    yield Charge(ns, Block.USER)
-
-
-def charge_kernel(ns: float, block: Block = Block.KERNEL):
-    """Sub-generator: consume kernel time."""
-    yield Charge(ns, block)

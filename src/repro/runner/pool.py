@@ -64,7 +64,7 @@ def _point_failure(spec: PointSpec, index: int, reason: str,
 
 @dataclass
 class RunStats:
-    """What one ``run_points`` call did, for summary lines and bench."""
+    """What one ``run_points`` call did, for summary lines."""
 
     total: int = 0
     cache_hits: int = 0

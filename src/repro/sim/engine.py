@@ -8,7 +8,8 @@ Determinism: events at equal timestamps fire in posting order (a
 monotonically increasing sequence number breaks ties), so simulations are
 fully reproducible.
 
-Hot-path notes (``benchmarks/test_engine_micro.py`` keeps the floor):
+Hot-path notes (``tests/sim/test_engine.py`` counts the Python calls
+per event):
 
 * queue entries are ``[time_ns, seq, fn]`` lists, which ``heapq``
   compares in C; ``seq`` is unique, so a comparison never reaches

@@ -1,11 +1,13 @@
 """Integration tests for the OLTP harness (small windows: these check
-mechanics and orderings; the full Figure 8 numbers live in benchmarks/)."""
+mechanics and orderings; the Figure 8 claims are asserted in
+tests/experiments/test_ablation_fig08.py)."""
 
 import pytest
 
 from repro import units
 from repro.apps.oltp import (DIPC, IDEAL, IN_MEMORY, LINUX, ON_DISK,
                              OltpParams, OltpResult, run_oltp)
+from repro.trace.tracer import TraceSession
 
 QUICK = dict(window_ns=40 * units.MS, warmup_ns=25 * units.MS,
              concurrency=8)
@@ -84,6 +86,18 @@ class TestDipcInternals:
         # the fast path never entered the kernel IPC layer
         assert result.kernel_fraction < 0.05
         assert result.operations > 0
+
+    def test_apl_cache_never_misses(self):
+        """§7.1: even the largest benchmark uses 7 domains, well below the
+        32 APL-cache entries, so a whole run never misses."""
+        with TraceSession() as session:
+            run_oltp(OltpParams(config=DIPC, concurrency=8,
+                                window_ns=30 * units.MS,
+                                warmup_ns=20 * units.MS))
+        session.finalize()
+        counters = session.merged_counters()
+        assert counters.get("apl_cache.hits") > 0
+        assert counters.get("apl_cache.misses") == 0
 
     def test_deterministic_given_seed(self):
         a = quick_run(IDEAL, seed=5)

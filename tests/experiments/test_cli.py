@@ -84,6 +84,16 @@ def test_cli_trace_alias_is_gone(capsys):
     assert "unknown experiment 'trace'" in capsys.readouterr().err
 
 
+def test_cli_bench_verb_is_gone(capsys):
+    # host time is measured by layerbench/ alone
+    assert main(["bench"]) == 2
+    assert "unknown experiment 'bench'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--compare"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --compare" in capsys.readouterr().err
+
+
 def test_cli_trace_flag_records_one_experiment_only(capsys):
     assert main(["run", "table1", "extras", "--trace"]) == 2
     assert "one experiment" in capsys.readouterr().err

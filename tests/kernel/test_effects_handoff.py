@@ -4,8 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.kernel import Kernel
-from repro.kernel.effects import (BlockThread, Charge, Handoff, YieldCPU,
-                                  charge_kernel, charge_user)
+from repro.kernel.effects import BlockThread, Charge, Handoff, YieldCPU
 from repro.sim.stats import Block
 
 
@@ -27,10 +26,10 @@ class TestEffectObjects:
         with pytest.raises(ValueError):
             Charge(-1)
 
-    def test_charge_user_generator(self, kernel, proc):
+    def test_compute_and_kwork_charge_their_blocks(self, kernel, proc):
         def body(t):
-            yield from charge_user(100)
-            yield from charge_kernel(50)
+            yield from t.compute(100)
+            yield from t.kwork(50)
 
         kernel.spawn(proc, body, pin=0)
         kernel.run()

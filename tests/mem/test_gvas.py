@@ -73,6 +73,17 @@ def test_owner_lookup_simplistic_and_fast_agree():
     assert gvas.owner_of(addr, simplistic=True) == 20
     assert gvas.owner_of(addr, simplistic=False) == 20
 
+    # §7.4's many-process case: the simplistic lookup iterates all 1024
+    # processes, the direct one indexes the block; both must agree
+    gvas = GlobalVAS(total_blocks=4096)
+    for pid in range(1, 1025):
+        gvas.alloc_block(pid)
+    assert gvas.owner_of(gvas.blocks[-1].base + 5, simplistic=True) == 1024
+    for block in gvas.blocks[::97]:
+        addr = block.base + 123
+        assert gvas.owner_of(addr, simplistic=True) == \
+            gvas.owner_of(addr, simplistic=False)
+
 
 def test_owner_lookup_miss():
     gvas = GlobalVAS()

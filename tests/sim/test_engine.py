@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import sys
+
 import pytest
 
 from repro.errors import SimulationError
@@ -313,3 +315,51 @@ def test_recycled_event_reuse_preserves_order_and_identity():
     engine.run()
     assert fired == [("a", i) for i in range(50)] \
         + [("b", i) for i in range(50)]
+
+
+def _post_and_fire(engine, n):
+    def tick():
+        if engine.events_processed < n:
+            engine.post(1.0, tick)
+
+    engine.post(0.0, tick)
+
+
+def _cancel_churn(engine, n):
+    """Timeout-style load: every tick posts and cancels a doomed event,
+    exercising the tombstone path alongside the pop loop."""
+    def tick():
+        if engine.events_processed < n:
+            doomed = engine.post(5.0, lambda: None)
+            engine.post(1.0, tick)
+            engine.cancel(doomed)
+
+    engine.post(0.0, tick)
+
+
+@pytest.mark.parametrize("loop, max_calls", [(_post_and_fire, 3),
+                                             (_cancel_churn, 6)])
+def test_hot_loop_python_calls_per_event(loop, max_calls):
+    """The engine's hot-path floor, counted rather than timed.
+
+    Per fired event the loop runs the callback and ``post``/``post_at``
+    (plus ``cancel`` under churn); the heap compares its list entries in
+    C, so nothing else is a Python-level call. A heap entry compared by
+    a Python ``__lt__`` adds calls to every push and pop and fails here.
+    """
+    engine = Engine()
+    loop(engine, 10_000)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        engine.run()
+    finally:
+        sys.setprofile(None)
+    assert engine.events_processed == 10_000
+    assert calls <= max_calls * engine.events_processed
