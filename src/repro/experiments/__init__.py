@@ -13,11 +13,9 @@ plus the shared micro-benchmark drivers in ``microbench``.
 from repro.experiments.microbench import (BenchResult, bench_dipc,
                                           bench_dipc_user_rpc, bench_func,
                                           bench_l4, bench_pipe, bench_rpc,
-                                          bench_sem, bench_syscall,
-                                          fig5_suite)
+                                          bench_sem, bench_syscall)
 
 __all__ = [
     "BenchResult", "bench_dipc", "bench_dipc_user_rpc", "bench_func",
     "bench_l4", "bench_pipe", "bench_rpc", "bench_sem", "bench_syscall",
-    "fig5_suite",
 ]

@@ -10,13 +10,13 @@ One verb, orthogonal flags:
   fig11_isolation), fig12 (alias fig12_bracket), extras, ablation,
   microbench, report, or ``all``;
 * ``--quick`` shrinks iteration counts / windows (for smoke runs);
-* ``--jobs N`` routes each experiment through the sharded point runner
-  (``repro.runner``): the figure is decomposed into independent
-  simulation points, fanned out across N worker processes, and merged
-  back in spec order — the rendered output is byte-identical to the
-  default serial path. Any ``--jobs`` value (including 1) also enables
-  the content-addressed result cache under ``--cache-dir`` (default
-  ``.repro-cache/``); pass ``--no-cache`` to disable it;
+* ``--jobs N`` fans each experiment's simulation points out across N
+  worker processes and merges them back in spec order — the rendered
+  output is byte-identical to the default run, which computes the same
+  points in this process. Any ``--jobs`` value (including 1) also
+  enables the content-addressed result cache under ``--cache-dir``
+  (default ``.repro-cache/``; pass ``--no-cache`` to disable it) and
+  prints a ``runner:`` summary line;
 * ``--trace`` records a span trace of the (single) experiment and
   writes ``trace.json`` (Chrome trace-event format, loadable at
   https://ui.perfetto.dev), ``spans.csv`` and ``meta.json`` into
@@ -25,9 +25,13 @@ One verb, orthogonal flags:
   seeded by ``--seed``) against every kernel the experiment builds,
   and prints the injection summary after the figure.
 
-``--trace``/``--chaos`` attach to kernels built *in this process*, so
-either flag forces the serial path (a note is printed when ``--jobs``
-is also given).
+Every experiment is computed one way, by :func:`run_experiment`: the
+figure's registered parameter table (``registry.specs_for``) → the point
+runner (``repro.runner.pool.run_points``) → ``registry.assemble``, so
+``run <fig> --quick`` prints exactly its section of a quick REPORT.md.
+``--trace``/``--chaos``/``--supervise`` attach to kernels built *in
+this process*, so they compute the points in-process and uncached (a
+note is printed when ``--jobs`` is also given).
 
 The bare form ``python -m repro.experiments [names...]`` is shorthand
 for ``run``. The ``chaos`` subcommand keeps working as a deprecated
@@ -60,154 +64,20 @@ restricts the pattern axis to the chain; failing cells are written as
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
 
+from repro.runner import registry
 
-def _run_table1(quick: bool) -> str:
-    from repro.experiments import table01_arch
-    return table01_arch.render(table01_arch.run())
-
-
-def _run_fig1(quick: bool) -> str:
-    from repro.experiments import fig01_breakdown
-    return fig01_breakdown.render(
-        fig01_breakdown.run(concurrency=64 if quick else 256,
-                            scale=0.3 if quick else 1.0))
-
-
-def _run_fig2(quick: bool) -> str:
-    from repro.experiments import fig02_ipc_breakdown
-    return fig02_ipc_breakdown.render(
-        fig02_ipc_breakdown.run(iters=15 if quick else 40))
-
-
-def _run_fig5(quick: bool) -> str:
-    from repro.experiments import fig05_sync_calls
-    return fig05_sync_calls.render(
-        fig05_sync_calls.run(iters=15 if quick else 40))
-
-
-def _run_fig6(quick: bool) -> str:
-    from repro.experiments import fig06_argsize
-    sizes = tuple(16 ** i for i in range(0, 6)) if quick else \
-        fig06_argsize.DEFAULT_SIZES
-    return fig06_argsize.render(
-        fig06_argsize.run(sizes=sizes, iters=8 if quick else 20))
-
-
-def _run_fig7(quick: bool) -> str:
-    from repro.experiments import fig07_driver
-    return fig07_driver.render(
-        fig07_driver.run(iters=10 if quick else 30))
-
-
-def _run_fig8(quick: bool) -> str:
-    from repro.experiments import fig08_oltp
-    concurrencies = (4, 16, 64) if quick else \
-        fig08_oltp.DEFAULT_CONCURRENCIES
-    scale = 0.25 if quick else 1.0
-    on_disk = fig08_oltp.run("on-disk", concurrencies, scale)
-    in_mem = fig08_oltp.run("in-memory", concurrencies, scale)
-    return (fig08_oltp.render(on_disk) + "\n\n"
-            + fig08_oltp.render(in_mem))
-
-
-def _run_fig9(quick: bool) -> str:
-    from repro.experiments import fig09_load
-    return fig09_load.run(quick)
-
-
-def _run_fig10(quick: bool) -> str:
-    from repro.experiments import fig10_topo
-    return fig10_topo.run(quick)
-
-
-def _run_fig11(quick: bool) -> str:
-    from repro.experiments import fig11_isolation
-    return fig11_isolation.run(quick)
-
-
-def _run_fig12(quick: bool) -> str:
-    from repro.experiments import fig12_bracket
-    return fig12_bracket.run(quick)
-
-
-def _run_extras(quick: bool) -> str:
-    from repro.experiments import extras
-    return extras.render()
-
-
-def _run_ablation(quick: bool) -> str:
-    from repro.experiments import ablation
-    return ablation.render(ablation.run(iters=10 if quick else 25))
-
-
-def _run_microbench(quick: bool) -> str:
-    from repro.runner import registry
-    from repro.runner.points import execute_spec
-    specs = registry.specs_for("microbench", quick)
-    return registry.assemble("microbench", specs,
-                             [execute_spec(spec) for spec in specs])
-
-
-def _run_report(quick: bool) -> str:
-    from repro.experiments import report
-    path = report.generate(quick=quick)
-    return f"report written to {path}"
-
-
-def _run_chaos(quick: bool) -> str:
-    from repro.fault import chaos
-    report = chaos.run_chaos(7, 2 if quick else 5, quick=quick)
-    return chaos.render(report)
-
-
-def _make_cache(args):
-    """The shared result cache, or None when ``--no-cache`` is given."""
-    if args.no_cache:
-        return None
-    from repro.runner.cache import ResultCache
-    return ResultCache(args.cache_dir)
-
-
-def _run_sharded(name: str, quick: bool, jobs: int, cache, *,
-                 checkpoint=None, resume=False, timeout_s=None,
-                 retries=2) -> str:
-    """Run one experiment through the point runner (see repro.runner)."""
-    from repro.runner import registry
-    from repro.runner.pool import run_points, summary
-    specs = registry.specs_for(name, quick)
-    results, stats = run_points(specs, jobs=jobs, cache=cache,
-                                checkpoint=checkpoint, resume=resume,
-                                timeout_s=timeout_s, retries=retries)
-    print(summary(stats))
-    return registry.assemble(name, specs, results)
-
-
-RUNNERS = {
-    "table1": _run_table1,
-    "fig1": _run_fig1,
-    "fig2": _run_fig2,
-    "fig5": _run_fig5,
-    "fig6": _run_fig6,
-    "fig7": _run_fig7,
-    "fig8": _run_fig8,
-    "fig9": _run_fig9,
-    "fig10": _run_fig10,
-    "fig11": _run_fig11,
-    "fig12": _run_fig12,
-    "extras": _run_extras,
-    "ablation": _run_ablation,
-    "microbench": _run_microbench,
-    "report": _run_report,
-    "chaos": _run_chaos,
-}
+#: every name ``run`` accepts: the registered figure drivers, then the
+#: aggregate report and the chaos smoke
+EXPERIMENTS = registry.SUPPORTED + ("report", "chaos")
 
 #: "all" runs every figure/table but not the aggregate report, the
 #: chaos smoke, or the raw microbenchmark sweep (a tuning tool)
-DEFAULT_SET = [name for name in RUNNERS
+DEFAULT_SET = [name for name in EXPERIMENTS
                if name not in ("report", "chaos", "microbench")]
 
 #: long-form aliases accepted on the command line
@@ -218,6 +88,47 @@ _ALIASES = {
     "fig11_isolation": "fig11",
     "fig12_bracket": "fig12",
 }
+
+
+def run_experiment(name: str, quick: bool, *, jobs: int = 0, cache=None,
+                   checkpoint=None, resume: bool = False,
+                   timeout_s=None, retries: int = 2) -> str:
+    """Compute experiment ``name`` and return its rendered text.
+
+    A registered figure goes ``registry.specs_for`` → ``run_points`` →
+    ``registry.assemble``; ``report`` and the ``chaos`` smoke run their
+    own point lists through the same ``run_points``. ``jobs <= 1``
+    computes every point in this process, which is what lets the
+    ``--trace``/``--chaos``/``--supervise`` sessions reach the kernels;
+    ``jobs > 1`` fans the points out to worker processes. The output is
+    the same text either way. The ``runner:`` summary line is printed
+    only when ``jobs > 0`` (an explicit ``--jobs``).
+    """
+    from repro.runner.pool import run_points, summary
+
+    runner = dict(jobs=jobs, cache=cache, checkpoint=checkpoint,
+                  resume=resume, timeout_s=timeout_s, retries=retries)
+    if name == "report":
+        from repro.experiments import report
+        path = report.generate(quick=quick, **runner)
+        return f"report written to {path}"
+    if name == "chaos":
+        from repro.fault import chaos
+        return chaos.render(chaos.run_chaos(7, 2 if quick else 5,
+                                            quick=quick, jobs=jobs))
+    specs = registry.specs_for(name, quick)
+    results, stats = run_points(specs, **runner)
+    if jobs > 0:
+        print(summary(stats))
+    return registry.assemble(name, specs, results)
+
+
+def _make_cache(args):
+    """The shared result cache, or None when ``--no-cache`` is given."""
+    if args.no_cache:
+        return None
+    from repro.runner.cache import ResultCache
+    return ResultCache(args.cache_dir)
 
 
 def _normalize(name: str) -> str:
@@ -237,21 +148,16 @@ def _run_traced(name: str, quick: bool, out_dir: str,
     from repro.trace.meta import collect_meta, write_meta
     from repro.trace.tracer import TraceSession
 
-    runner = RUNNERS.get(name)
-    if runner is None:
-        print(f"unknown experiment '{name}' "
-              f"(choose from {', '.join(RUNNERS)})", file=sys.stderr)
-        return 2
     os.makedirs(out_dir, exist_ok=True)
     start = time.time()
     print(f"\n{'=' * 78}\ntrace {name}\n{'=' * 78}")
     with TraceSession() as session:
         if chaos_seed is None:
-            output = runner(quick)
+            output = run_experiment(name, quick)
         else:
             from repro.fault.session import ChaosSession
             with ChaosSession(seed=chaos_seed) as chaos_session:
-                output = runner(quick)
+                output = run_experiment(name, quick)
     session.finalize()
     print(output)
     if chaos_seed is not None:
@@ -297,7 +203,7 @@ def main(argv=None) -> int:
         description="Regenerate the dIPC paper's tables and figures.")
     parser.add_argument("names", nargs="*", default=["all"],
                         help="'run' (optional verb) followed by "
-                             f"experiments: {', '.join(RUNNERS)}, or "
+                             f"experiments: {', '.join(EXPERIMENTS)}, or "
                              "'all'; 'check <target>' explores "
                              "interleavings; 'conformance' sweeps the "
                              "kill-point recovery matrix; 'chaos' is a "
@@ -305,10 +211,11 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="smaller iteration counts / windows")
     parser.add_argument("--jobs", type=int, default=0,
-                        help="shard experiments into simulation points "
-                             "and compute them on N worker processes "
-                             "(also enables the result cache); "
-                             "0 = original serial path (default)")
+                        help="compute each experiment's simulation "
+                             "points on N worker processes (also "
+                             "enables the result cache and prints a "
+                             "runner: line); 0 = compute them in this "
+                             "process, uncached (default)")
     parser.add_argument("--trace", action="store_true",
                         help="record a span trace of the (single) "
                              "experiment; artifacts go to --out")
@@ -406,9 +313,10 @@ def main(argv=None) -> int:
     names = [_normalize(name) for name in names]
     names = DEFAULT_SET if (not names or "all" in names) else names
     for name in names:
-        if name not in RUNNERS:
+        if name not in EXPERIMENTS:
             print(f"unknown experiment '{name}' "
-                  f"(choose from {', '.join(RUNNERS)})", file=sys.stderr)
+                  f"(choose from {', '.join(EXPERIMENTS)})",
+                  file=sys.stderr)
             return 2
 
     # -- orthogonal flags ----------------------------------------------
@@ -428,48 +336,34 @@ def main(argv=None) -> int:
         return _run_traced(names[0], args.quick, args.out,
                            chaos_seed=args.seed if args.chaos else None)
     if args.resume and args.jobs <= 0:
-        args.jobs = 1  # --resume implies the runner path
-    if (args.chaos or args.supervise) and args.jobs > 0:
+        args.jobs = 1  # --resume reads the journal --jobs writes
+    in_process = args.chaos or args.supervise
+    if in_process and args.jobs > 0:
         print("note: --chaos/--supervise attach to in-process kernels; "
               "running serially (--jobs ignored)", file=sys.stderr)
-    use_runner = (args.jobs > 0 and not args.chaos
-                  and not args.supervise)
-    cache = _make_cache(args) if use_runner else None
-    timeout_s = args.point_timeout if args.point_timeout > 0 else None
-    if use_runner:
-        from repro.runner.registry import SUPPORTED as _sharded
+    runner = {}
+    if args.jobs > 0 and not in_process:
+        runner = dict(jobs=args.jobs, cache=_make_cache(args),
+                      checkpoint=args.cache_dir, resume=args.resume,
+                      timeout_s=(args.point_timeout
+                                 if args.point_timeout > 0 else None),
+                      retries=args.retries)
     for name in names:
         start = time.time()
         print(f"\n{'=' * 78}\n{name}\n{'=' * 78}")
-        if use_runner and name in _sharded:
-            print(_run_sharded(name, args.quick, args.jobs, cache,
-                               checkpoint=args.cache_dir,
-                               resume=args.resume, timeout_s=timeout_s,
-                               retries=args.retries))
-        elif use_runner and name == "report":
-            from repro.experiments import report
-            path = report.generate(quick=args.quick, jobs=args.jobs,
-                                   cache=cache,
-                                   checkpoint=args.cache_dir,
-                                   resume=args.resume,
-                                   timeout_s=timeout_s,
-                                   retries=args.retries)
-            print(f"report written to {path}")
-        elif args.chaos or args.supervise:
-            import contextlib
-            with contextlib.ExitStack() as stack:
-                chaos_session = None
-                recovery_session = None
-                if args.chaos:
-                    from repro.fault.session import ChaosSession
-                    chaos_session = stack.enter_context(
-                        ChaosSession(seed=args.seed))
-                if args.supervise:
-                    from repro.recovery.session import RecoverySession
-                    recovery_session = stack.enter_context(
-                        RecoverySession(seed=args.seed))
-                output = RUNNERS[name](args.quick)
-            print(output)
+        with contextlib.ExitStack() as stack:
+            chaos_session = recovery_session = None
+            if args.chaos:
+                from repro.fault.session import ChaosSession
+                chaos_session = stack.enter_context(
+                    ChaosSession(seed=args.seed))
+            if args.supervise:
+                from repro.recovery.session import RecoverySession
+                recovery_session = stack.enter_context(
+                    RecoverySession(seed=args.seed))
+            output = run_experiment(name, args.quick, **runner)
+        print(output)
+        if in_process:
             violations = []
             if chaos_session is not None:
                 print(chaos_session.summary())
@@ -487,8 +381,6 @@ def main(argv=None) -> int:
                       f"({len(violations)} violation(s))")
                 return 1
             print(f"{label}: all invariants held")
-        else:
-            print(RUNNERS[name](args.quick))
         print(f"\n[{name} took {time.time() - start:.1f}s]")
     return 0
 

@@ -75,18 +75,9 @@ def tracking_ablation() -> List[AblationRow]:
     ]
 
 
-def run(iters: int = 25) -> List[AblationRow]:
-    rows: List[AblationRow] = []
-    rows.extend(tls_ablation(iters))
-    rows.append(policy_ablation(iters))
-    rows.append(stub_ablation())
-    rows.extend(tracking_ablation())
-    return rows
+# -- point decomposition (one point per ablation family) ---------------------
 
-
-# -- parallel-runner decomposition (one point per ablation family) ----------
-
-#: spec order must match run()'s row order
+#: the families in row order
 PARTS = ("tls", "policy", "stubs", "tracking")
 
 

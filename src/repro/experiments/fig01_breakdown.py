@@ -48,12 +48,7 @@ def _row(config: str, concurrency: int, scale: float) -> Fig1Row:
                    result.idle_fraction * 100)
 
 
-def run(concurrency: int = 256, scale: float = 1.0) -> Fig1Result:
-    return Fig1Result(linux=_row(LINUX, concurrency, scale),
-                      ideal=_row(IDEAL, concurrency, scale))
-
-
-# -- parallel-runner decomposition (one OLTP run per config) ----------------
+# -- point decomposition (one OLTP run per config) ---------------------------
 
 def points(*, concurrency: int = 256, scale: float = 1.0) -> list:
     from repro.runner.points import PointSpec
@@ -68,9 +63,13 @@ def compute_point(*, config: str, concurrency: int, scale: float) -> dict:
     return dataclasses.asdict(_row(config, concurrency, scale))
 
 
-def assemble(specs, results) -> str:
+def fold(specs, results) -> Fig1Result:
     rows = {row["config"]: Fig1Row(**row) for row in results}
-    return render(Fig1Result(linux=rows[LINUX], ideal=rows[IDEAL]))
+    return Fig1Result(linux=rows[LINUX], ideal=rows[IDEAL])
+
+
+def assemble(specs, results) -> str:
+    return render(fold(specs, results))
 
 
 def render(result: Fig1Result) -> str:

@@ -38,18 +38,7 @@ def _bench(label: str, iters: int) -> BenchResult:
     raise ValueError(label)
 
 
-def run(iters: int = 40) -> List[Fig2Row]:
-    results: Dict[str, BenchResult] = {
-        label: _bench(label, iters) for label in BARS}
-    rows = []
-    for label in BARS:
-        result = results[label]
-        rows.append(Fig2Row(label, result.mean_ns,
-                            dict(result.breakdown.ns)))
-    return rows
-
-
-# -- parallel-runner decomposition (one point per bar) ----------------------
+# -- point decomposition (one point per bar) ---------------------------------
 
 def points(*, iters: int = 40) -> list:
     from repro.runner.points import PointSpec
@@ -61,12 +50,15 @@ def compute_point(*, label: str, iters: int) -> dict:
     return _bench(label, iters).as_point()
 
 
-def assemble(specs, results) -> str:
-    rows = [Fig2Row(spec.kwargs["label"], result["mean_ns"],
+def fold(specs, results) -> List[Fig2Row]:
+    return [Fig2Row(spec.kwargs["label"], result["mean_ns"],
                     {Block[name]: ns
                      for name, ns in result["blocks"].items()})
             for spec, result in zip(specs, results)]
-    return render(rows)
+
+
+def assemble(specs, results) -> str:
+    return render(fold(specs, results))
 
 
 def render(rows: List[Fig2Row]) -> str:

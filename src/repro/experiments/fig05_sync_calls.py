@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.experiments.microbench import BenchResult, fig5_suite
 from repro.hw.costs import FIG5_TARGETS_NS
 
 #: bar order of Figure 5, left to right
@@ -29,21 +28,7 @@ class Fig5Row:
     p99_ns: float = 0.0
 
 
-def run(iters: int = 40) -> List[Fig5Row]:
-    suite: Dict[str, BenchResult] = fig5_suite(iters=iters)
-    func_ns = suite["func"].mean_ns
-    rows = []
-    for label in ORDER:
-        result = suite[label]
-        target = FIG5_TARGETS_NS[label]
-        rows.append(Fig5Row(
-            label, result.mean_ns, result.mean_ns / func_ns, target,
-            (result.mean_ns - target) / target * 100.0,
-            result.p50_ns, result.p95_ns, result.p99_ns))
-    return rows
-
-
-# -- parallel-runner decomposition (one point per bar) ----------------------
+# -- point decomposition (one point per bar) ---------------------------------
 
 def points(*, iters: int = 40) -> list:
     from repro.runner.points import PointSpec
@@ -56,7 +41,7 @@ def compute_point(*, label: str, iters: int) -> dict:
     return fig5_bench(label, iters=iters).as_point()
 
 
-def assemble(specs, results) -> str:
+def fold(specs, results) -> List[Fig5Row]:
     by = {spec.kwargs["label"]: result
           for spec, result in zip(specs, results)}
     func_ns = by["func"]["mean_ns"]
@@ -68,7 +53,11 @@ def assemble(specs, results) -> str:
             label, result["mean_ns"], result["mean_ns"] / func_ns, target,
             (result["mean_ns"] - target) / target * 100.0,
             result["p50_ns"], result["p95_ns"], result["p99_ns"]))
-    return render(rows)
+    return rows
+
+
+def assemble(specs, results) -> str:
+    return render(fold(specs, results))
 
 
 from repro.runner.registry import register_figure

@@ -59,22 +59,7 @@ def _measure(label: str, size: int, iters: int) -> BenchResult:
     raise ValueError(label)
 
 
-def run(sizes=DEFAULT_SIZES, iters: int = 20) -> List[Fig6Series]:
-    baseline = {size: bench_func(size=size, iters=iters).mean_ns
-                for size in sizes}
-    series = []
-    for label in SERIES:
-        added = {}
-        tail = {}
-        for size in sizes:
-            result = _measure(label, size, iters)
-            added[size] = max(result.mean_ns - baseline[size], 0.0)
-            tail[size] = (result.p50_ns, result.p95_ns, result.p99_ns)
-        series.append(Fig6Series(label, added, tail))
-    return series
-
-
-# -- parallel-runner decomposition ------------------------------------------
+# -- point decomposition -----------------------------------------------------
 # One baseline point per size plus one point per (series, size) cell.
 
 def points(*, sizes=DEFAULT_SIZES, iters: int = 20) -> list:
@@ -96,7 +81,7 @@ def compute_point(*, kind: str, size: int, iters: int,
     return _measure(label, size, iters).as_point()
 
 
-def assemble(specs, results) -> str:
+def fold(specs, results) -> List[Fig6Series]:
     baseline = {}
     measured = {}
     sizes = []
@@ -117,7 +102,11 @@ def assemble(specs, results) -> str:
             tail[size] = (result["p50_ns"], result["p95_ns"],
                           result["p99_ns"])
         series.append(Fig6Series(label, added, tail))
-    return render(series)
+    return series
+
+
+def assemble(specs, results) -> str:
+    return render(fold(specs, results))
 
 
 def render(series: List[Fig6Series]) -> str:
@@ -173,4 +162,4 @@ class Fig6Driver:
     def cli_params(quick: bool) -> dict:
         sizes = tuple(16 ** i for i in range(0, 6)) if quick else \
             DEFAULT_SIZES
-        return {"sizes": sizes, "iters": 8 if quick else 20}
+        return {"sizes": sizes, "iters": 7 if quick else 20}

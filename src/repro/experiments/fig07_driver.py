@@ -18,26 +18,8 @@ from repro.apps.infiniband import (CONFIG_DIPC, CONFIG_DIPC_PROC,
                                    ISOLATION_CONFIGS, KERNEL_OPS_PER_MSG,
                                    IsolatedDriver, NICModel,
                                    inline_per_call_ns, kernel_per_call_ns)
-from repro.apps.netpipe import DEFAULT_SIZES, NetpipeSeries, run_netpipe
+from repro.apps.netpipe import run_netpipe
 from repro.experiments.microbench import (bench_dipc, bench_pipe, bench_sem)
-
-
-def measure_per_call_costs(iters: int = 30) -> Dict[str, float]:
-    """Round-trip cost of one synchronous driver call per mechanism.
-
-    The driver domain trusts the application but not vice versa, so the
-    dIPC configurations use the asymmetric Low policy (§7.3: "dIPC uses
-    an asymmetric policy between the application and the driver").
-    """
-    return {
-        CONFIG_INLINE: inline_per_call_ns(),
-        CONFIG_DIPC: bench_dipc(policy="low", iters=iters).mean_ns,
-        CONFIG_DIPC_PROC: bench_dipc(policy="low", cross_process=True,
-                                     iters=iters).mean_ns,
-        CONFIG_KERNEL: kernel_per_call_ns(),
-        CONFIG_SEM: bench_sem(same_cpu=True, iters=iters).mean_ns,
-        CONFIG_PIPE: bench_pipe(same_cpu=True, iters=iters).mean_ns,
-    }
 
 
 @dataclass
@@ -47,32 +29,9 @@ class Fig7Row:
     bandwidth_overhead_pct: Dict[int, float]
 
 
-def run(sizes=DEFAULT_SIZES, iters: int = 30) -> List[Fig7Row]:
-    costs = measure_per_call_costs(iters=iters)
-    return _rows_from_costs(costs, sizes)
-
-
-def _rows_from_costs(costs: Dict[str, float], sizes) -> List[Fig7Row]:
-    """The analytic netpipe sweep on top of measured per-call costs."""
-    nic = NICModel()
-    baseline = run_netpipe(nic, IsolatedDriver(CONFIG_INLINE,
-                                               costs[CONFIG_INLINE]),
-                           sizes)
-    rows = []
-    for config in ISOLATION_CONFIGS:
-        ops = KERNEL_OPS_PER_MSG if config == CONFIG_KERNEL else None
-        driver = IsolatedDriver(config, costs[config]) if ops is None \
-            else IsolatedDriver(config, costs[config], ops_per_message=ops)
-        series = run_netpipe(nic, driver, sizes)
-        rows.append(Fig7Row(config,
-                            series.latency_overhead_pct(baseline),
-                            series.bandwidth_overhead_pct(baseline)))
-    return rows
-
-
-# -- parallel-runner decomposition ------------------------------------------
+# -- point decomposition -----------------------------------------------------
 # Only the four simulated per-call costs are points; the inline/kernel
-# costs and the netpipe sweep itself are analytic and stay in assemble.
+# costs and the netpipe sweep itself are analytic and stay in the fold.
 
 _BENCH_CONFIGS = (CONFIG_DIPC, CONFIG_DIPC_PROC, CONFIG_SEM, CONFIG_PIPE)
 
@@ -84,6 +43,12 @@ def points(*, iters: int = 30) -> list:
 
 
 def compute_point(*, config: str, iters: int) -> dict:
+    """Round-trip cost of one synchronous driver call through ``config``.
+
+    The driver domain trusts the application but not vice versa, so the
+    dIPC configurations use the asymmetric Low policy (§7.3: "dIPC uses
+    an asymmetric policy between the application and the driver").
+    """
     if config == CONFIG_DIPC:
         result = bench_dipc(policy="low", iters=iters)
     elif config == CONFIG_DIPC_PROC:
@@ -97,10 +62,12 @@ def compute_point(*, config: str, iters: int) -> dict:
     return {"per_call_ns": result.mean_ns}
 
 
-def assemble(specs, results, *, sizes=DEFAULT_SIZES) -> str:
+def per_call_costs(specs, results) -> Dict[str, float]:
+    """Every mechanism's per-call cost: the measured points plus the
+    analytic inline and kernel-driver costs."""
     measured = {spec.kwargs["config"]: result["per_call_ns"]
                 for spec, result in zip(specs, results)}
-    costs = {
+    return {
         CONFIG_INLINE: inline_per_call_ns(),
         CONFIG_DIPC: measured[CONFIG_DIPC],
         CONFIG_DIPC_PROC: measured[CONFIG_DIPC_PROC],
@@ -108,7 +75,36 @@ def assemble(specs, results, *, sizes=DEFAULT_SIZES) -> str:
         CONFIG_SEM: measured[CONFIG_SEM],
         CONFIG_PIPE: measured[CONFIG_PIPE],
     }
-    return render(_rows_from_costs(costs, sizes))
+
+
+def measure_per_call_costs(iters: int = 30) -> Dict[str, float]:
+    """Round-trip cost of one synchronous driver call per mechanism,
+    computed through this figure's own points."""
+    specs = points(iters=iters)
+    return per_call_costs(
+        specs, [compute_point(**spec.kwargs) for spec in specs])
+
+
+def fold(specs, results) -> List[Fig7Row]:
+    """The analytic netpipe sweep on top of the per-call costs."""
+    costs = per_call_costs(specs, results)
+    nic = NICModel()
+    baseline = run_netpipe(nic, IsolatedDriver(CONFIG_INLINE,
+                                               costs[CONFIG_INLINE]))
+    rows = []
+    for config in ISOLATION_CONFIGS:
+        ops = KERNEL_OPS_PER_MSG if config == CONFIG_KERNEL else None
+        driver = IsolatedDriver(config, costs[config]) if ops is None \
+            else IsolatedDriver(config, costs[config], ops_per_message=ops)
+        series = run_netpipe(nic, driver)
+        rows.append(Fig7Row(config,
+                            series.latency_overhead_pct(baseline),
+                            series.bandwidth_overhead_pct(baseline)))
+    return rows
+
+
+def assemble(specs, results) -> str:
+    return render(fold(specs, results))
 
 
 def render(rows: List[Fig7Row]) -> str:
@@ -146,4 +142,4 @@ class Fig7Driver:
 
     @staticmethod
     def cli_params(quick: bool) -> dict:
-        return {"iters": 10 if quick else 30}
+        return {"iters": 15 if quick else 40}

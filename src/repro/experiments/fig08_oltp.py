@@ -4,7 +4,7 @@ Ideal, on-disk and in-memory, 4 to 512 threads."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from repro.apps.oltp import (CONFIGS, DIPC, IDEAL, IN_MEMORY, LINUX,
                              ON_DISK, params_for, run_oltp)
@@ -41,25 +41,7 @@ class Fig8Result:
             self.speedup(DIPC, c) for c in self.throughput[DIPC])
 
 
-def run(storage: str, concurrencies=DEFAULT_CONCURRENCIES,
-        scale: float = 1.0) -> Fig8Result:
-    result = Fig8Result(storage)
-    for config in CONFIGS:
-        result.throughput[config] = {}
-        for concurrency in concurrencies:
-            r = run_oltp(params_for(config, storage, concurrency,
-                                    scale=scale))
-            result.throughput[config][concurrency] = r.throughput_ops_min
-    return result
-
-
-def run_both(concurrencies=DEFAULT_CONCURRENCIES,
-             scale: float = 1.0) -> Tuple[Fig8Result, Fig8Result]:
-    return (run(ON_DISK, concurrencies, scale),
-            run(IN_MEMORY, concurrencies, scale))
-
-
-# -- parallel-runner decomposition ------------------------------------------
+# -- point decomposition -----------------------------------------------------
 # One OLTP simulation per (storage, config, concurrency) triple: the
 # dominant cost of a full sweep, and embarrassingly parallel.
 
@@ -81,19 +63,23 @@ def compute_point(*, storage: str, config: str, concurrency: int,
     return {"throughput_ops_min": result.throughput_ops_min}
 
 
-def assemble(specs, results) -> str:
+def fold(specs, results) -> Dict[str, Fig8Result]:
+    """One :class:`Fig8Result` per storage, in spec order."""
     by_storage: Dict[str, Fig8Result] = {}
-    order = []
     for spec, result in zip(specs, results):
         kwargs = spec.kwargs
         storage = kwargs["storage"]
         if storage not in by_storage:
             by_storage[storage] = Fig8Result(storage)
-            order.append(storage)
         table = by_storage[storage].throughput.setdefault(
             kwargs["config"], {})
         table[kwargs["concurrency"]] = result["throughput_ops_min"]
-    return "\n\n".join(render(by_storage[storage]) for storage in order)
+    return by_storage
+
+
+def assemble(specs, results) -> str:
+    return "\n\n".join(render(result)
+                       for result in fold(specs, results).values())
 
 
 def render(result: Fig8Result) -> str:
@@ -142,4 +128,4 @@ class Fig8Driver:
     def cli_params(quick: bool) -> dict:
         concurrencies = (4, 16, 64) if quick else DEFAULT_CONCURRENCIES
         return {"concurrencies": concurrencies,
-                "scale": 0.25 if quick else 1.0}
+                "scale": 0.3 if quick else 1.0}

@@ -15,7 +15,7 @@ offered load:
 Every (primitive, rung) pair is one :class:`~repro.runner.points.
 PointSpec`, so ``--jobs N`` fans the sweep across worker processes
 and the result cache reuses unchanged points — byte-identical to the
-serial path, like every other figure.
+in-process run, like every other figure.
 
 The headline the paper predicts (§7, Figure 5's 64×/8.9× round-trip
 advantages compounding under load): dIPC has no service-thread pool to
@@ -182,13 +182,6 @@ def assemble(specs, results, *, baseline_set=None) -> str:
                 f"{row['p99_ns'] / 1e3:>9.1f}"
                 f"{row['p999_ns'] / 1e3:>10.1f}")
     return "\n".join(lines)
-
-
-def run(quick: bool = False) -> str:
-    """Serial in-process path: same decomposition, same rendering."""
-    from repro.runner.points import execute_spec
-    specs = points(**Fig9Driver.cli_params(quick))
-    return assemble(specs, [execute_spec(spec) for spec in specs])
 
 
 from repro.runner.registry import register_figure  # noqa: E402

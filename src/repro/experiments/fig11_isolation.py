@@ -346,13 +346,6 @@ def assemble(specs, results) -> str:
     return "\n".join(lines)
 
 
-def run(quick: bool = False) -> str:
-    """Serial in-process path: same decomposition, same rendering."""
-    from repro.runner.points import execute_spec
-    specs = points(**Fig11Driver.cli_params(quick))
-    return assemble(specs, [execute_spec(spec) for spec in specs])
-
-
 from repro.runner.registry import register_figure  # noqa: E402
 
 

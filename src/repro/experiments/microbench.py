@@ -13,7 +13,7 @@ and replies with a one-byte acknowledgement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.core.api import DipcManager
 from repro.core.objects import EntryDescriptor, Signature
@@ -471,8 +471,8 @@ def bench_dipc_user_rpc(*, size: int = 1, iters: int = DEFAULT_ITERS,
 # suite helpers
 # ---------------------------------------------------------------------------
 
-#: label -> zero-argument-style builder for every bar of Figure 5; the
-#: parallel runner schedules these one label at a time
+#: label -> builder for every bar of Figure 5, one simulation point each
+#: (``fig05_sync_calls`` and the ``microbench`` sweep below)
 _FIG5_BENCHES = {
     "func": lambda iters: bench_func(iters=iters),
     "syscall": lambda iters: bench_syscall(iters=iters),
@@ -503,12 +503,6 @@ def fig5_bench(label: str, *, iters: int = DEFAULT_ITERS) -> BenchResult:
     except KeyError:
         raise ValueError(f"unknown fig5 bench {label!r}") from None
     return builder(iters)
-
-
-def fig5_suite(*, iters: int = DEFAULT_ITERS) -> Dict[str, BenchResult]:
-    """Every bar of Figure 5, keyed like hw.costs.FIG5_TARGETS_NS."""
-    return {label: fig5_bench(label, iters=iters)
-            for label in _FIG5_BENCHES}
 
 
 # -- the raw microbenchmark sweep as a registered figure driver -------------

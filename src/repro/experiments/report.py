@@ -7,8 +7,11 @@ report header embeds the metadata summary (commit, cost-constants hash,
 quick/full mode) so reports from different PRs are comparable at a
 glance.
 
-The report body is a pure function of the section parameterization and
-the cost model — no timestamps, no wall-clock — so a serial run, a
+Each section is one registered figure computed with its own parameter
+table (``registry.specs_for(name, quick)``), so a section body is
+byte-identical to ``run <name>`` in the same mode and shares its cache
+entries. The report body is a pure function of those tables and the
+cost model — no timestamps, no wall-clock — so an in-process run, a
 ``--jobs N`` run and a warm-cache run of the same tree produce
 byte-identical files (pinned by ``tests/runner`` and diffed in CI).
 Sections appear in :data:`SECTION_ORDER`, the paper's presentation
@@ -42,63 +45,28 @@ SECTION_ORDER: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def _section_params(name: str, quick: bool) -> dict:
-    """The report's own parameterization (differs from the CLI's:
-    e.g. fig8 runs at scale 0.3 here vs 0.25 on the quick CLI path)."""
-    from repro.experiments import fig06_argsize
-    iters = 15 if quick else 40
-    scale = 0.3 if quick else 1.0
-    if name == "table1":
-        return {}
-    if name == "fig2":
-        return {"iters": iters}
-    if name == "fig5":
-        return {"iters": iters}
-    if name == "fig6":
-        sizes = tuple(16 ** i for i in range(0, 6)) if quick else \
-            fig06_argsize.DEFAULT_SIZES
-        return {"sizes": sizes, "iters": max(iters // 2, 6)}
-    if name == "fig7":
-        return {"iters": iters}
-    if name == "fig1":
-        return {"concurrency": 64 if quick else 256, "scale": scale}
-    if name == "fig8":
-        concurrencies = (4, 16, 64) if quick else (4, 16, 64, 256, 512)
-        return {"concurrencies": concurrencies, "scale": scale}
-    if name in ("fig9", "fig10", "fig11", "fig12"):
-        # the load/topology/isolation sweeps share the CLI's
-        # parameterization — their points then hit the same cache as
-        # `run fig9`/`run fig10`/`run fig11`/`run fig12`
-        from repro.runner import registry
-        return registry.cli_params(name, quick)
-    if name == "extras":
-        return {}
-    raise KeyError(name)
-
-
 def _section_specs(quick: bool) -> List[tuple]:
-    """``(title, name, specs)`` per section, in canonical order."""
+    """``(title, name, specs)`` per section, in canonical order; each
+    section's points are exactly those of ``run <name>`` in that mode."""
     from repro.runner import registry
-    out = []
-    for title, name in SECTION_ORDER:
-        module = registry._module(name)
-        out.append((title, name,
-                    module.points(**_section_params(name, quick))))
-    return out
+    return [(title, name, registry.specs_for(name, quick))
+            for title, name in SECTION_ORDER]
 
 
 def generate(path: str = "REPORT.md", *, quick: bool = True,
-             jobs: int = 1, cache=None, checkpoint=None,
+             jobs: int = 0, cache=None, checkpoint=None,
              resume: bool = False, timeout_s=None,
              retries: int = 2) -> str:
     """Run every experiment and write a markdown report; returns path.
 
     ``jobs > 1`` fans the underlying simulation points out across a
-    process pool; ``cache`` (a ``repro.runner.cache.ResultCache``)
-    reuses previously computed points. ``checkpoint``/``resume`` journal
-    per-point progress so an interrupted generation can be resumed (see
+    process pool, and any ``jobs > 0`` (an explicit ``--jobs``) prints
+    the ``runner:`` summary line, as ``run <name>`` does; ``cache`` (a
+    ``repro.runner.cache.ResultCache``) reuses previously computed
+    points. ``checkpoint``/``resume`` journal per-point progress so an
+    interrupted generation can be resumed (see
     ``repro.recovery.checkpoint``). All of these are output-invariant:
-    the written file is byte-identical to the default serial run.
+    the written file is byte-identical to the default in-process run.
     """
     from repro.runner import registry
     from repro.runner.pool import run_points, summary
@@ -119,17 +87,14 @@ def generate(path: str = "REPORT.md", *, quick: bool = True,
         body = registry.assemble(name, specs, results)
         sections.append(f"## {title}\n\n```\n{body}\n```\n")
 
-    iters = 15 if quick else 40
-    scale = 0.3 if quick else 1.0
-    concurrencies = (4, 16, 64) if quick else (4, 16, 64, 256, 512)
     meta = trace_meta.collect_meta(
         experiment="report", quick=quick,
-        params={"iters": iters, "scale": scale,
-                "concurrencies": list(concurrencies)})
+        params={name: registry.cli_params(name, quick)
+                for _title, name in SECTION_ORDER})
     meta_path = (path[:-3] if path.endswith(".md") else path) + ".meta.json"
     trace_meta.write_meta(meta_path, meta)
     # the header must stay deterministic (no timestamps, no elapsed
-    # time): CI byte-compares serial vs parallel vs cached reports.
+    # time): CI byte-compares in-process vs parallel vs cached reports.
     # timestamp/platform live in the meta.json sidecar.
     sha = meta.get("git_sha", "unknown")
     if sha not in ("", "unknown"):
@@ -145,6 +110,6 @@ def generate(path: str = "REPORT.md", *, quick: bool = True,
         f"> full metadata: `{meta_path}`\n\n")
     with open(path, "w") as handle:
         handle.write(header + "\n".join(sections))
-    if jobs > 1 or cache is not None or stats.resumed:
+    if jobs > 0:
         print(summary(stats))
     return path

@@ -8,11 +8,7 @@ from typing import List
 from repro.arch import ArchResult, table1
 
 
-def run(data_size: int = 1024) -> List[ArchResult]:
-    return table1(data_size=data_size)
-
-
-# -- parallel-runner decomposition (analytic: a single point) ---------------
+# -- point decomposition (analytic: a single point) -------------------------
 
 def points(*, data_size: int = 1024) -> list:
     from repro.runner.points import PointSpec
@@ -21,7 +17,7 @@ def points(*, data_size: int = 1024) -> list:
 
 def compute_point(*, data_size: int) -> list:
     import dataclasses
-    return [dataclasses.asdict(row) for row in run(data_size)]
+    return [dataclasses.asdict(row) for row in table1(data_size=data_size)]
 
 
 def assemble(specs, results) -> str:

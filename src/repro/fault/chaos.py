@@ -72,9 +72,9 @@ class StormResult:
     records: list
     violations: List[str]
     stats: Dict[str, int]
-    #: set instead of ``records`` when the storm ran in a pool worker
-    #: (injection records are not picklable; only their rendered log and
-    #: count cross the process boundary)
+    #: set instead of ``records`` when the storm came back as a point
+    #: result (injection records are not JSON; only their rendered log
+    #: and count cross the point boundary)
     n_records: Optional[int] = None
 
     @property
@@ -370,30 +370,24 @@ def run_chaos(seed: int, storms: int, *, quick: bool = False,
     """Run ``storms`` storms; with ``verify`` the whole set is run twice
     and the injection logs byte-compared (same seed => same log).
 
-    ``jobs > 0`` shards storms across a worker pool via the parallel
-    runner; the log is still merged in storm order, so it stays
-    byte-identical to a serial run.
+    Storms are :func:`points` computed by the point runner: in this
+    process for ``jobs <= 1`` (where ``--trace``/``--chaos`` sessions
+    see their kernels), on a worker pool otherwise. The log is merged
+    in storm order either way, so it is byte-identical for any ``jobs``.
     """
+    from repro.runner.pool import run_points
 
     def one_pass() -> ChaosReport:
+        specs = points(seed=seed, storms=storms, quick=quick)
+        results, _stats = run_points(specs, jobs=jobs)
         report = ChaosReport(seed=seed, storms=storms)
         parts = [_log_header(seed, storms, quick)]
-        if jobs > 0:
-            from repro.runner import run_points
-            specs = points(seed=seed, storms=storms, quick=quick)
-            results, _stats = run_points(specs, jobs=jobs, cache=None)
-            for point in results:
-                report.results.append(StormResult(
-                    storm=point["storm"], records=[],
-                    violations=list(point["violations"]),
-                    stats=dict(point["stats"]),
-                    n_records=point["n_records"]))
-                parts.append(point["log"])
-        else:
-            for storm in range(storms):
-                result = run_storm(seed, storm, quick=quick)
-                report.results.append(result)
-                parts.append(render_log(result.records))
+        for point in results:
+            report.results.append(StormResult(
+                storm=point["storm"], records=[],
+                violations=point["violations"], stats=point["stats"],
+                n_records=point["n_records"]))
+            parts.append(point["log"])
         report.log_text = "".join(parts)
         return report
 

@@ -10,11 +10,14 @@ triple of Figure 8, one chaos storm. Each figure driver exposes
   so results can cross process boundaries and live in the on-disk
   cache, and
 * ``assemble(specs, results) -> str`` — merges the per-point results,
-  **in spec order**, into the same rendered text the driver's direct
-  ``render(run(...))`` path produces.
+  **in spec order**, into the rendered figure text.
 
-Keeping ``kwargs`` JSON-only is what makes a spec both picklable (for
-``multiprocessing``) and hashable (for the content-addressed cache).
+Points are the only way a figure is computed: ``run <name>`` (with or
+without ``--jobs``), REPORT.md, the storm set and the ``check`` verb
+all call ``compute_point`` through :func:`execute_spec` or a pool
+worker. Keeping ``kwargs`` JSON-only is what makes a spec both
+picklable (for ``multiprocessing``) and hashable (for the
+content-addressed cache).
 """
 
 from __future__ import annotations

@@ -3,11 +3,10 @@
 A figure driver is any object satisfying :class:`FigureDriver`:
 
 * ``name`` — the registry key (``fig5``, ``fig9``, ``microbench``, …);
-* ``cli_params(quick)`` — the exact parameters the CLI uses, the
-  single source of truth shared by the serial and ``--jobs`` paths
-  (that equivalence is what makes ``--jobs N`` output byte-identical
-  to a serial run, pinned by
-  ``tests/runner/test_parallel_determinism.py``);
+* ``cli_params(quick)`` — the figure's one parameter table: ``run
+  <name>`` with or without ``--jobs``, REPORT.md's section and the
+  ``check`` verb all decompose the figure with exactly these
+  parameters, so they compute the same points and share cache entries;
 * ``points(**params)`` — the decomposition into
   :class:`repro.runner.points.PointSpec`;
 * ``compute_point(**kwargs)`` — one point from scratch (fresh kernel,
@@ -15,15 +14,15 @@ A figure driver is any object satisfying :class:`FigureDriver`:
 * ``assemble(specs, results)`` — merge per-point results, in spec
   order, into the rendered figure text.
 
+:func:`specs_for` and :func:`assemble` bracket
+:func:`repro.runner.pool.run_points`; that sequence is the only way an
+experiment is computed, in-process or on ``--jobs N`` workers.
+
 Drivers self-register with :func:`register_figure`, which validates at
 import time that the driver satisfies the protocol **and** that
 ``cli_params(quick)`` actually binds to ``points``'s signature for
 both quick modes — so a renamed keyword fails the moment the module is
 imported, not halfway through a two-hour ``--jobs 8`` run.
-
-``REPORT.md`` uses its own parameterization (see
-``repro.experiments.report``), reusing the same ``points``/``assemble``
-entry points through :func:`module_for`.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ class FigureDriver(Protocol):
 
 _REGISTRY: Dict[str, FigureDriver] = {}
 
-#: experiments the point runner can shard, in presentation order
-#: (``report`` and ``chaos`` have their own plumbing)
+#: every registered experiment, in presentation order (``report`` and
+#: ``chaos`` are not figures: they run their own point lists)
 SUPPORTED = ("table1", "fig1", "fig2", "fig5", "fig6", "fig7", "fig8",
              "fig9", "fig10", "fig11", "fig12", "extras", "ablation",
              "microbench")
@@ -136,23 +135,13 @@ def get(name: str) -> FigureDriver:
     return _REGISTRY[name]
 
 
-def module_for(name: str):
-    """The module owning ``name``'s driver (report.py's entry point)."""
-    get(name)
-    return importlib.import_module(_MODULES[name])
-
-
-#: backwards-compatible alias, used by repro.experiments.report
-_module = module_for
-
-
 def cli_params(name: str, quick: bool) -> dict:
-    """The exact parameters the serial CLI path uses for ``name``."""
+    """``name``'s parameter table for one mode (see :class:`FigureDriver`)."""
     return get(name).cli_params(quick)
 
 
 def specs_for(name: str, quick: bool) -> List[PointSpec]:
-    """Decompose experiment ``name`` with the CLI's parameterization."""
+    """Decompose experiment ``name`` with its parameter table."""
     driver = get(name)
     return driver.points(**driver.cli_params(quick))
 

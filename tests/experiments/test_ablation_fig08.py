@@ -6,10 +6,11 @@ import pytest
 from repro.apps.oltp import DIPC, IDEAL, IN_MEMORY, LINUX, ON_DISK
 from repro.experiments import ablation, fig08_oltp
 from repro.experiments.fig08_oltp import (Fig8Result, PAPER_SPEEDUPS)
+from repro.runner.points import execute_spec
 
 #: a reduced Figure 8 grid; the full sweep is ``run fig8``. Keep the
 #: scale: on-disk dIPC at c=16 clears the 1.05x bar at 0.35 (1.08x) but
-#: not at 0.25 or below
+#: not at the quick run's 0.30 (1.04x) or below
 FIG8_CONCURRENCIES = (4, 16, 64)
 FIG8_SCALE = 0.35
 
@@ -33,7 +34,8 @@ class TestAblation:
         assert row.ratio == pytest.approx(8.47, rel=0.10)
 
     def test_render(self):
-        text = ablation.render(ablation.run(iters=8))
+        specs = ablation.points(iters=8)
+        text = ablation.assemble(specs, [execute_spec(s) for s in specs])
         assert "tls-optimized" in text
         assert "asymmetric policy" in text
 
@@ -74,9 +76,9 @@ class TestFig8Helpers:
 @pytest.fixture(scope="module")
 def fig8():
     """One reduced sweep per storage, shared by every TestFig8 check."""
-    return {storage: fig08_oltp.run(storage, FIG8_CONCURRENCIES,
-                                    scale=FIG8_SCALE)
-            for storage in (IN_MEMORY, ON_DISK)}
+    specs = fig08_oltp.points(concurrencies=FIG8_CONCURRENCIES,
+                              scale=FIG8_SCALE)
+    return fig08_oltp.fold(specs, [execute_spec(s) for s in specs])
 
 
 class TestFig8:

@@ -6,13 +6,21 @@ from repro.experiments import fig01_breakdown, fig02_ipc_breakdown
 from repro.experiments import fig05_sync_calls
 from repro.experiments import fig06_argsize, fig07_driver, table01_arch
 from repro.experiments import extras
+from repro.runner.points import execute_spec
 from repro.sim.stats import Block
+
+
+def _fold(module, **params):
+    """``module``'s typed result, computed through its own points."""
+    specs = module.points(**params)
+    return module.fold(specs, [execute_spec(spec) for spec in specs])
 
 
 class TestTable1:
     def test_rows_render(self):
-        rows = table01_arch.run()
-        text = table01_arch.render(rows)
+        specs = table01_arch.points()
+        text = table01_arch.assemble(
+            specs, [execute_spec(spec) for spec in specs])
         assert "CODOMs" in text and "CHERI" in text
         assert "call + return" in text
 
@@ -20,7 +28,7 @@ class TestTable1:
 class TestFig1:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig01_breakdown.run(concurrency=64, scale=0.4)
+        return _fold(fig01_breakdown, concurrency=64, scale=0.4)
 
     def test_dropping_isolation_buys_a_large_factor(self, result):
         """The motivating observation (paper: Ideal runs 1.92x faster)."""
@@ -34,7 +42,7 @@ class TestFig1:
 class TestFig2:
     @pytest.fixture(scope="class")
     def rows(self):
-        return fig02_ipc_breakdown.run(iters=12)
+        return _fold(fig02_ipc_breakdown, iters=12)
 
     def test_all_bars_present(self, rows):
         assert [r.label for r in rows] == list(fig02_ipc_breakdown.BARS)
@@ -73,7 +81,7 @@ class TestFig2:
 class TestFig5:
     @pytest.fixture(scope="class")
     def rows(self):
-        return fig05_sync_calls.run(iters=12)
+        return _fold(fig05_sync_calls, iters=12)
 
     def test_order_matches_figure(self, rows):
         assert [r.label for r in rows] == list(fig05_sync_calls.ORDER)
@@ -103,8 +111,8 @@ class TestFig6:
     @pytest.fixture(scope="class")
     def series(self):
         sizes = (1, 4096, 262144)
-        return {s.label: s for s in fig06_argsize.run(sizes=sizes,
-                                                      iters=6)}
+        return {s.label: s
+                for s in _fold(fig06_argsize, sizes=sizes, iters=6)}
 
     def test_dipc_stays_flat(self, series):
         added = series["dipc_proc_low"].added_ns
@@ -143,7 +151,7 @@ class TestFig6:
 class TestFig7:
     @pytest.fixture(scope="class")
     def rows(self):
-        return {r.config: r for r in fig07_driver.run(iters=10)}
+        return {r.config: r for r in _fold(fig07_driver, iters=10)}
 
     def test_dipc_sustains_latency(self, rows):
         """§7.3: only dIPC sustains Infiniband's low latency (~1%)."""

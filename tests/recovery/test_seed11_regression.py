@@ -11,19 +11,20 @@ failure must still reproduce, so this file keeps honest evidence that
 the harness would catch a regression.
 """
 
-import pytest
-
 from repro.core import kcs
+from repro.experiments.__main__ import run_experiment
 from repro.fault.session import ChaosSession
 from repro.recovery.session import RecoverySession
 
 
-def _storm(run_figure):
-    """Run one figure under the seed-11 kill storm with supervision;
-    returns every audit violation (chaos A1-A10 + recovery)."""
+def _storm(name):
+    """Run one figure's quick points in this process under the seed-11
+    kill storm with supervision, exactly as ``run <name> --quick --chaos
+    --supervise --seed 11`` does; returns every audit violation (chaos
+    A1-A10 + recovery)."""
     with ChaosSession(seed=11) as chaos, \
             RecoverySession(seed=11) as recovery:
-        run_figure()
+        run_experiment(name, True)
     violations = list(chaos.audit_kernels())
     violations.extend(f"recovery {v}"
                       for v in recovery.audit_violations())
@@ -31,13 +32,11 @@ def _storm(run_figure):
 
 
 def test_fig10_seed11_supervised_storm_holds_every_invariant():
-    from repro.experiments import fig10_topo
-    assert _storm(lambda: fig10_topo.run(True)) == []
+    assert _storm("fig10") == []
 
 
 def test_fig12_seed11_supervised_storm_holds_every_invariant():
-    from repro.experiments import fig12_bracket
-    assert _storm(lambda: fig12_bracket.run(True)) == []
+    assert _storm("fig12") == []
 
 
 def test_fig10_seed11_reproduces_the_a8_underflow_pre_fix(monkeypatch):
@@ -46,8 +45,7 @@ def test_fig10_seed11_reproduces_the_a8_underflow_pre_fix(monkeypatch):
     produce the A8 underflow and stale-frame reclamation violations —
     proof the seed-11 gate actually guards the fix."""
     monkeypatch.setattr(kcs, "LEGACY_UNWIND", True)
-    from repro.experiments import fig10_topo
-    violations = _storm(lambda: fig10_topo.run(True))
+    violations = _storm("fig10")
     assert violations, "LEGACY_UNWIND no longer reproduces the bug"
     text = "\n".join(violations)
     assert "KCS underflow: return without call" in text

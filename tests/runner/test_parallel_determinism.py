@@ -1,9 +1,14 @@
-"""Byte-identity of the sharded runner vs the original serial paths.
+"""Byte-identity of the sharded runner vs the in-process run.
 
 These are the determinism pins for ``--jobs``: a parallel or cached run
-must render the exact same text as the untouched in-process code path.
+must render the exact same text as the default in-process run.
 """
 
+import re
+
+import pytest
+
+from repro.experiments.__main__ import main
 from repro.runner import registry
 from repro.runner.cache import ResultCache
 from repro.runner.pool import run_points
@@ -15,19 +20,28 @@ def _sharded(name, quick, jobs, cache=None):
     return registry.assemble(name, specs, results), stats
 
 
-def test_fig5_quick_jobs4_matches_serial_path():
-    from repro.experiments.__main__ import _run_fig5
-    serial = _run_fig5(True)
-    parallel, stats = _sharded("fig5", True, jobs=4)
-    assert parallel == serial
-    assert stats.jobs == 4 and stats.computed == stats.total
+_NOISE = re.compile(r"^(\[\w+ took [0-9.]+s\]|runner:)")
 
 
-def test_ablation_quick_jobs2_matches_serial_path():
-    from repro.experiments.__main__ import _run_ablation
-    serial = _run_ablation(True)
-    parallel, _stats = _sharded("ablation", True, jobs=2)
-    assert parallel == serial
+def _stdout(capsys, argv):
+    """``main(argv)``'s stdout lines, and how many were ``runner:`` lines,
+    with the ``took``/``runner:`` lines dropped."""
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return ([line for line in lines if not _NOISE.match(line)],
+            sum(line.startswith("runner:") for line in lines))
+
+
+@pytest.mark.parametrize("name", ["table1", "fig2", "fig5", "fig6", "fig7",
+                                  "extras", "ablation", "microbench"])
+def test_run_quick_matches_jobs2(name, capsys, tmp_path):
+    in_process, quiet = _stdout(capsys, ["run", name, "--quick"])
+    sharded, summaries = _stdout(
+        capsys, ["run", name, "--quick", "--jobs", "2", "--no-cache",
+                 "--cache-dir", str(tmp_path)])
+    assert sharded == in_process
+    # the runner: line prints under --jobs only
+    assert (quiet, summaries) == (0, 1)
 
 
 def test_warm_cache_render_is_identical_and_skips_everything(tmp_path):

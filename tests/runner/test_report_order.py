@@ -1,8 +1,12 @@
 """REPORT.md section ordering and header determinism."""
 
+import hashlib
 import re
 
+import pytest
+
 from repro.experiments import report
+from repro.runner import registry
 
 
 def test_section_order_is_the_canonical_tuple():
@@ -22,14 +26,25 @@ def test_section_order_is_the_canonical_tuple():
     )
 
 
-def test_every_section_has_params_and_points():
-    for _title, name in report.SECTION_ORDER:
-        params = report._section_params(name, quick=True)
-        assert isinstance(params, dict)
-    specs = report._section_specs(quick=True)
-    assert [name for _t, name, _s in specs] == \
+@pytest.mark.parametrize("quick,count,pin", [
+    (True, 327, "5294f0f2a6de8327"),
+    (False, 870, "6c0387ecbd571797"),
+], ids=["quick", "full"])
+def test_report_points_are_pinned(quick, count, pin):
+    """The points REPORT.md computes, in order: every section is its
+    figure's registered parameter table for the mode, so the report and
+    ``run <name>`` compute the same points. The hashes predate the
+    report's use of those tables, so they also pin that the switch moved
+    no report point."""
+    sections = report._section_specs(quick)
+    assert [name for _t, name, _s in sections] == \
         [name for _t, name in report.SECTION_ORDER]
-    assert all(section_specs for _t, _n, section_specs in specs)
+    for _title, name, specs in sections:
+        assert specs == registry.specs_for(name, quick)
+    flat = [spec for _t, _n, specs in sections for spec in specs]
+    digest = hashlib.sha256(
+        "\n".join(spec.payload() for spec in flat).encode()).hexdigest()
+    assert (len(flat), digest[:16]) == (count, pin)
 
 
 def test_generated_report_is_deterministic_and_ordered(tmp_path,
