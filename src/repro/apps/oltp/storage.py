@@ -8,7 +8,6 @@ from collections import deque
 from typing import Deque, Dict, Optional, Tuple
 
 from repro.kernel.thread import Thread
-from repro.sim.stats import Block
 
 ON_DISK = "on-disk"
 IN_MEMORY = "in-memory"
@@ -82,4 +81,4 @@ class StorageEngine:
             yield from thread.syscall(self.kernel.costs.SYSCALL_MINWORK)
             yield from self.disk.read(thread)
         # buffer-pool hit (or tmpfs): the cost is in the DB CPU demand
-        yield from thread.kwork(0.0, Block.USER)
+        yield from thread.compute(0.0)

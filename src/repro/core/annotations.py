@@ -24,7 +24,6 @@ from repro.codoms.apl import Permission
 from repro.core.objects import EntryDescriptor, Signature
 from repro.core.policies import IsolationPolicy
 from repro.errors import LoaderError
-from repro.sim.stats import Block
 
 #: §5.3.1: compiler reconstruction beats setjmp-style saving by ~2.5x
 STUB_COOPT_FACTOR = 2.5
@@ -155,16 +154,13 @@ def caller_stub_charges(thread, policy: IsolationPolicy, *,
     factor = 1.0 / STUB_COOPT_FACTOR if optimized else 1.0
     if before:
         if policy.reg_integrity:
-            yield from thread.kwork(costs.STUB_REG_SAVE * factor, Block.USER)
+            yield from thread.compute(costs.STUB_REG_SAVE * factor)
         if policy.reg_confidentiality:
-            yield from thread.kwork(costs.STUB_REG_ZERO * factor * 5 / 8,
-                                    Block.USER)
+            yield from thread.compute(costs.STUB_REG_ZERO * factor * 5 / 8)
         if policy.stack_integrity:
-            yield from thread.kwork(costs.STUB_STACK_CAPS, Block.USER)
+            yield from thread.compute(costs.STUB_STACK_CAPS)
     else:
         if policy.reg_confidentiality:
-            yield from thread.kwork(costs.STUB_REG_ZERO * factor * 3 / 8,
-                                    Block.USER)
+            yield from thread.compute(costs.STUB_REG_ZERO * factor * 3 / 8)
         if policy.reg_integrity:
-            yield from thread.kwork(costs.STUB_REG_RESTORE * factor,
-                                    Block.USER)
+            yield from thread.compute(costs.STUB_REG_RESTORE * factor)

@@ -26,7 +26,7 @@ from repro.core.kcs import KCSEntry, KernelControlStack
 from repro.core.objects import EntryDescriptor, Signature
 from repro.core.policies import IsolationPolicy
 from repro.core.templates import ProxyTemplate
-from repro.sim.stats import Block
+from repro.sim.stats import SYSCALL
 
 _proxy_serial = itertools.count(1)
 
@@ -125,10 +125,10 @@ class Proxy:
         caller_tag = ctx.current_tag
         caller_priv = ctx.privileged
         manager.access.check_call(ctx, self.entry_address, thread=thread)
-        yield from thread.kwork(costs.FUNC_CALL, Block.USER)
+        yield from thread.compute(costs.FUNC_CALL)
 
         # ---- trusted proxy entry ----
-        yield from thread.kwork(costs.PROXY_MIN_CALL, Block.USER)
+        yield from thread.compute(costs.PROXY_MIN_CALL)
         if self.cross_process and not self.callee_process.alive:
             # a call into a killed process fails errno-style at the proxy
             # instead of executing dead code: nothing was pushed yet, so
@@ -170,16 +170,14 @@ class Proxy:
             if self.cross_process:
                 yield from manager.track.track_call(
                     thread, self.callee_process, self.callee_tag)
-                yield from thread.kwork(costs.TLS_SWITCH, Block.USER)
-                yield from thread.kwork(costs.TRACK_DONATION, Block.USER)
+                yield from thread.compute(costs.TLS_SWITCH)
+                yield from thread.compute(costs.TRACK_DONATION)
 
             # ---- proxy-side isolation properties (isolate_pcall) ----
             if self.policy.stack_confidentiality:
                 if self.cross_process:
-                    yield from thread.kwork(costs.PROXY_STACK_LOCATE,
-                                            Block.USER)
-                yield from thread.kwork(costs.PROXY_STACK_SWITCH * 5 / 8,
-                                        Block.USER)
+                    yield from thread.compute(costs.PROXY_STACK_LOCATE)
+                yield from thread.compute(costs.PROXY_STACK_SWITCH * 5 / 8)
                 active_stack = manager.stacks.stack_for(
                     thread, self.callee_process)
                 if self.signature.stack_bytes:
@@ -187,14 +185,12 @@ class Proxy:
                     copy_ns = self.kernel.machine.cache.copy_ns(
                         self.signature.stack_bytes,
                         startup=costs.MEMCPY_STARTUP)
-                    yield from thread.kwork(copy_ns, Block.USER)
+                    yield from thread.compute(copy_ns)
             if self.policy.dcs_integrity:
-                yield from thread.kwork(costs.PROXY_DCS_ADJUST * 2 / 3,
-                                        Block.USER)
+                yield from thread.compute(costs.PROXY_DCS_ADJUST * 2 / 3)
                 frame.saved_dcs_base = ctx.dcs.set_base(ctx.dcs.top_index())
             if self.policy.dcs_confidentiality:
-                yield from thread.kwork(costs.PROXY_DCS_SWITCH * 2.5 / 4.3,
-                                        Block.USER)
+                yield from thread.compute(costs.PROXY_DCS_SWITCH * 2.5 / 4.3)
                 frame.saved_dcs = ctx.dcs
                 ctx.dcs = manager.dcs_pool.acquire()
 
@@ -224,7 +220,7 @@ class Proxy:
                 raise DipcError(
                     f"stale reply dropped: {frame.unwound_reason} "
                     f"({frame.describe()})")
-            yield from thread.kwork(costs.PROXY_MIN_RET, Block.USER)
+            yield from thread.compute(costs.PROXY_MIN_RET)
             if self.stubs_in_proxy:
                 yield from self._stub_ret_charges(thread)
             if span is not None:
@@ -236,8 +232,8 @@ class Proxy:
             ctx.current_tag = self.proxy_tag
             ctx.privileged = True
             yield from self._unwind_state(thread, frame, ctx, charge=False)
-            yield from thread.kwork(costs.SYSCALL_HW, Block.SYSCALL)
-            yield from thread.kwork(costs.KCS_UNWIND_FRAME, Block.KERNEL)
+            yield from thread.kwork(costs.SYSCALL_HW, SYSCALL)
+            yield from thread.kwork(costs.KCS_UNWIND_FRAME)
             manager.faults_unwound += 1
             if span is not None:
                 tracer.count("dipc.kcs_unwinds")
@@ -287,23 +283,20 @@ class Proxy:
         manager = self.manager
         if self.policy.dcs_confidentiality and frame.saved_dcs is not None:
             if charge:
-                yield from thread.kwork(costs.PROXY_DCS_SWITCH * 1.8 / 4.3,
-                                        Block.USER)
+                yield from thread.compute(costs.PROXY_DCS_SWITCH * 1.8 / 4.3)
             manager.dcs_pool.release(ctx.dcs)
             ctx.dcs = frame.saved_dcs
             frame.saved_dcs = None
         if self.policy.dcs_integrity and frame.saved_dcs_base is not None:
             if charge:
-                yield from thread.kwork(costs.PROXY_DCS_ADJUST * 1 / 3,
-                                        Block.USER)
+                yield from thread.compute(costs.PROXY_DCS_ADJUST * 1 / 3)
             ctx.dcs.set_base(frame.saved_dcs_base)
             frame.saved_dcs_base = None
         if self.policy.stack_confidentiality and charge:
-            yield from thread.kwork(costs.PROXY_STACK_SWITCH * 3 / 8,
-                                    Block.USER)
+            yield from thread.compute(costs.PROXY_STACK_SWITCH * 3 / 8)
         if self.cross_process:
             if charge:
-                yield from thread.kwork(costs.TLS_SWITCH, Block.USER)
+                yield from thread.compute(costs.TLS_SWITCH)
             yield from manager.track.track_ret(thread, frame.caller_process)
         # retire the KCS entry and restore the caller's execution state
         popped_live = self.kcs_of(thread).pop_frame(frame)
@@ -315,18 +308,18 @@ class Proxy:
     def _stub_call_charges(self, thread):
         costs = self.kernel.costs
         if self.stub_policy.reg_integrity:
-            yield from thread.kwork(costs.STUB_REG_SAVE, Block.USER)
+            yield from thread.compute(costs.STUB_REG_SAVE)
         if self.stub_policy.reg_confidentiality:
-            yield from thread.kwork(costs.STUB_REG_ZERO * 5 / 8, Block.USER)
+            yield from thread.compute(costs.STUB_REG_ZERO * 5 / 8)
         if self.stub_policy.stack_integrity:
-            yield from thread.kwork(costs.STUB_STACK_CAPS, Block.USER)
+            yield from thread.compute(costs.STUB_STACK_CAPS)
 
     def _stub_ret_charges(self, thread):
         costs = self.kernel.costs
         if self.stub_policy.reg_confidentiality:
-            yield from thread.kwork(costs.STUB_REG_ZERO * 3 / 8, Block.USER)
+            yield from thread.compute(costs.STUB_REG_ZERO * 3 / 8)
         if self.stub_policy.reg_integrity:
-            yield from thread.kwork(costs.STUB_REG_RESTORE, Block.USER)
+            yield from thread.compute(costs.STUB_REG_RESTORE)
 
     def __repr__(self) -> str:
         kind = "+proc" if self.cross_process else "local"

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import CallTimeout, DipcError
-from repro.sim.stats import Block
 
 
 class _Outcome:
@@ -101,8 +100,8 @@ def call_with_timeout(thread, proxy, args, timeout_ns: float):
             raise outcome.error
         return outcome.value
     # timed out: duplicate-thread + KCS-unwind costs land on the caller
-    yield from thread.kwork(costs.THREAD_SPLIT, Block.KERNEL)
-    yield from thread.kwork(costs.KCS_UNWIND_FRAME, Block.KERNEL)
+    yield from thread.kwork(costs.THREAD_SPLIT)
+    yield from thread.kwork(costs.KCS_UNWIND_FRAME)
     raise CallTimeout(
         f"call through {proxy!r} exceeded {timeout_ns:.0f}ns",
         elapsed_ns=timeout_ns)

@@ -19,7 +19,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.sim.stats import Block
 
 CACHE_ARRAY_SLOTS = 32
 
@@ -85,27 +84,27 @@ class ProcessTracker:
                 entry = slot
         if entry is not None:
             state.hot_hits += 1
-            yield from thread.kwork(costs.TRACK_PROCESS_CALL, Block.USER)
+            yield from thread.compute(costs.TRACK_PROCESS_CALL)
         elif target_tag in state.tree:
             state.warm_hits += 1
             entry = state.tree[target_tag]
             if hw_tag is not None:
                 state.cache_array[hw_tag] = entry
-            yield from thread.kwork(costs.TRACK_PROCESS_CALL
-                                    + costs.TRACK_TREE_LOOKUP, Block.USER)
+            yield from thread.compute(costs.TRACK_PROCESS_CALL
+                                      + costs.TRACK_TREE_LOOKUP)
         else:
             # cold path: upcall into the target's management thread, which
             # executes a syscall to create the OS structures (§6.1.2)
             state.cold_misses += 1
             self.upcalls += 1
-            yield from thread.kwork(costs.TRACK_UPCALL, Block.USER)
+            yield from thread.compute(costs.TRACK_UPCALL)
             yield from thread.syscall(costs.SYSCALL_MINWORK)
             tid = self._per_process_tid(thread, target_process)
             entry = TrackEntry(target_tag, target_process, tid)
             state.tree[target_tag] = entry
             if hw_tag is not None:
                 state.cache_array[hw_tag] = entry
-            yield from thread.kwork(costs.TRACK_PROCESS_CALL, Block.USER)
+            yield from thread.compute(costs.TRACK_PROCESS_CALL)
         # the functional switch: current process (fd table, accounting)
         thread.current_process = target_process
         return entry.per_process_tid
@@ -113,7 +112,7 @@ class ProcessTracker:
     def track_ret(self, thread, saved_process):
         """Sub-generator: restore ``current`` from the KCS entry."""
         costs = self.kernel.costs
-        yield from thread.kwork(costs.TRACK_PROCESS_RET, Block.USER)
+        yield from thread.compute(costs.TRACK_PROCESS_RET)
         thread.current_process = saved_process
 
     # -- per-process thread identifiers (§5.2.1) ----------------------------------

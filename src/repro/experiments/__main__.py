@@ -90,14 +90,15 @@ _ALIASES = {
 }
 
 
-def run_experiment(name: str, quick: bool, *, jobs: int = 0, cache=None,
-                   checkpoint=None, resume: bool = False,
+def run_experiment(name: str, quick: bool, *, seed: int = 7, jobs: int = 0,
+                   cache=None, checkpoint=None, resume: bool = False,
                    timeout_s=None, retries: int = 2) -> str:
     """Compute experiment ``name`` and return its rendered text.
 
     A registered figure goes ``registry.specs_for`` → ``run_points`` →
     ``registry.assemble``; ``report`` and the ``chaos`` smoke run their
-    own point lists through the same ``run_points``. ``jobs <= 1``
+    own point lists through the same ``run_points``, the smoke's storms
+    seeded by ``seed`` (the CLI's ``--seed``). ``jobs <= 1``
     computes every point in this process, which is what lets the
     ``--trace``/``--chaos``/``--supervise`` sessions reach the kernels;
     ``jobs > 1`` fans the points out to worker processes. The output is
@@ -114,7 +115,7 @@ def run_experiment(name: str, quick: bool, *, jobs: int = 0, cache=None,
         return f"report written to {path}"
     if name == "chaos":
         from repro.fault import chaos
-        return chaos.render(chaos.run_chaos(7, 2 if quick else 5,
+        return chaos.render(chaos.run_chaos(seed, 2 if quick else 5,
                                             quick=quick, jobs=jobs))
     specs = registry.specs_for(name, quick)
     results, stats = run_points(specs, **runner)
@@ -139,10 +140,11 @@ def _normalize(name: str) -> str:
     return name
 
 
-def _run_traced(name: str, quick: bool, out_dir: str,
-                chaos_seed=None) -> int:
+def _run_traced(name: str, quick: bool, out_dir: str, seed: int,
+                chaos: bool = False) -> int:
     """Run one experiment under a TraceSession; write the trace
-    artifacts. ``chaos_seed`` additionally arms a ChaosSession."""
+    artifacts. ``chaos`` additionally arms a ChaosSession seeded by
+    ``seed``."""
     from repro.trace.export import (render_counters, write_chrome_trace,
                                     write_spans_csv)
     from repro.trace.meta import collect_meta, write_meta
@@ -152,15 +154,15 @@ def _run_traced(name: str, quick: bool, out_dir: str,
     start = time.time()
     print(f"\n{'=' * 78}\ntrace {name}\n{'=' * 78}")
     with TraceSession() as session:
-        if chaos_seed is None:
-            output = run_experiment(name, quick)
+        if not chaos:
+            output = run_experiment(name, quick, seed=seed)
         else:
             from repro.fault.session import ChaosSession
-            with ChaosSession(seed=chaos_seed) as chaos_session:
-                output = run_experiment(name, quick)
+            with ChaosSession(seed=seed) as chaos_session:
+                output = run_experiment(name, quick, seed=seed)
     session.finalize()
     print(output)
-    if chaos_seed is not None:
+    if chaos:
         print(chaos_session.summary())
     trace_path = write_chrome_trace(
         session, os.path.join(out_dir, "trace.json"))
@@ -333,8 +335,8 @@ def main(argv=None) -> int:
         if args.jobs > 0:
             print("note: --trace attaches to in-process kernels; "
                   "running serially (--jobs ignored)", file=sys.stderr)
-        return _run_traced(names[0], args.quick, args.out,
-                           chaos_seed=args.seed if args.chaos else None)
+        return _run_traced(names[0], args.quick, args.out, args.seed,
+                           chaos=args.chaos)
     if args.resume and args.jobs <= 0:
         args.jobs = 1  # --resume reads the journal --jobs writes
     in_process = args.chaos or args.supervise
@@ -361,7 +363,8 @@ def main(argv=None) -> int:
                 from repro.recovery.session import RecoverySession
                 recovery_session = stack.enter_context(
                     RecoverySession(seed=args.seed))
-            output = run_experiment(name, args.quick, **runner)
+            output = run_experiment(name, args.quick, seed=args.seed,
+                                    **runner)
         print(output)
         if in_process:
             violations = []

@@ -119,9 +119,9 @@ def bench_l4(*, size: int = 1, iters: int = DEFAULT_ITERS,
     def iteration(t):
         if size > 1:
             yield from t.compute(cache.touch_ns(size))         # caller writes
-        yield from t.kwork(request_copy, Block.KERNEL)         # long IPC in
+        yield from t.kwork(request_copy)                       # long IPC in
         yield from endpoint.call(t, "ping")
-        yield from t.kwork(reply_copy, Block.KERNEL)           # ack out
+        yield from t.kwork(reply_copy)                         # ack out
 
     kernel.spawn(server_proc, server, pin=0, name="l4-srv", daemon=True)
     kernel.spawn(client_proc, harness.caller_body(iteration), pin=0,

@@ -57,7 +57,8 @@ class CostModel:
     #: block 5: full context switch (register save/restore, runqueue ops,
     #: ``current`` switch including the fd-table pointer)
     CTX_SWITCH: float = 316.0
-    #: block 6: page table switch (CR3 write + immediate TLB refills)
+    #: block 6: page table switch (CR3 write + immediate TLB refills);
+    #: the scheduler refuses a negative value
     PT_SWITCH: float = 95.0
     #: block 5: entering/leaving the idle loop
     IDLE_LOOP_ENTER: float = 60.0
@@ -217,7 +218,9 @@ class CostModel:
 
     #: relative timing jitter applied to every charge (0 = deterministic;
     #: §7.2 reports stddev below 1% of the mean — enable e.g. 0.005 to
-    #: model it; the scheduler uses a seeded RNG so runs stay reproducible)
+    #: model it; the scheduler uses a seeded RNG so runs stay reproducible).
+    #: Must lie in [0, 1): each charge is scaled by 1 ± JITTER, which must
+    #: stay positive, and the scheduler refuses any other value
     JITTER: float = 0.0
     #: seed for the jitter RNG
     JITTER_SEED: int = 1234

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.sim.stats import Block, Breakdown
+from repro.sim.stats import IDLE, Block, Breakdown
 
 
 class CPU:
@@ -12,7 +12,11 @@ class CPU:
 
     A CPU accumulates nanoseconds per :class:`Block`; the kernel scheduler
     is the only component that advances a CPU through time, so the account
-    here is the ground truth for Figures 1, 2 and 8.
+    here is the ground truth for Figures 1, 2 and 8. The scheduler bills
+    its charges and switch costs by adding to ``account.ns`` directly,
+    which saves two Python calls per charge on the simulator's hottest
+    path; :meth:`charge` serves the colder callers, the IPI send/handle
+    costs and idle accounting, and keeps ``Breakdown.add``'s sign check.
 
     CODOMs per-hardware-thread state (the APL cache) also hangs off the
     CPU, mirroring §4.1: "an independent software-managed APL cache for
@@ -48,7 +52,7 @@ class CPU:
             return 0.0
         span = now - self.idle_since
         if span > 0:
-            self.charge(Block.IDLE, span)
+            self.charge(IDLE, span)
         self.idle_since = None
         return span
 
@@ -57,7 +61,7 @@ class CPU:
         if self.idle_since is not None:
             span = now - self.idle_since
             if span > 0:
-                self.charge(Block.IDLE, span)
+                self.charge(IDLE, span)
             self.idle_since = now
 
     @property

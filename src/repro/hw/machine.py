@@ -14,7 +14,7 @@ from repro.hw.cache import CacheModel
 from repro.hw.costs import CostModel
 from repro.hw.cpu import CPU
 from repro.sim.engine import Engine
-from repro.sim.stats import Block, Breakdown
+from repro.sim.stats import KERNEL, Breakdown
 
 
 class Machine:
@@ -50,12 +50,12 @@ class Machine:
         if src is dst:
             raise SimulationError("IPI to self is never needed in this model")
         costs = self.costs
-        src.charge(Block.KERNEL, costs.IPI_SEND)
+        src.charge(KERNEL, costs.IPI_SEND)
 
         def deliver() -> None:
             # If the target was idle, the interrupt ends its idle interval.
             dst.end_idle(self.engine.now())
-            dst.charge(Block.KERNEL, costs.IPI_HANDLE)
+            dst.charge(KERNEL, costs.IPI_HANDLE)
             handler()
 
         self.engine.post(costs.IPI_FLIGHT, deliver)

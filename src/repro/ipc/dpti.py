@@ -31,7 +31,7 @@ from typing import Optional
 from repro import units
 from repro.errors import PeerResetError
 from repro.kernel.thread import Thread
-from repro.sim.stats import Block
+from repro.sim.stats import PTSW, SYSCALL
 
 
 def domain_table(kernel) -> dict:
@@ -132,17 +132,16 @@ class DptiEndpoint:
         span = tracer.begin("dpti.call", "ipc", thread=thread) \
             if tracer.enabled else None
         # request leg: stub, trap, gate, tagged switch
-        yield from thread.kwork(costs.DPTI_USER_STUB, Block.USER)
-        yield from thread.kwork(costs.SYSCALL_HW, Block.SYSCALL)
-        yield from thread.kwork(costs.DPTI_KERNEL_PATH, Block.KERNEL)
+        yield from thread.compute(costs.DPTI_USER_STUB)
+        yield from thread.kwork(costs.SYSCALL_HW, SYSCALL)
+        yield from thread.kwork(costs.DPTI_KERNEL_PATH)
         if self.hung_up or self._owner is None or not self._owner.alive:
             if span is not None:
                 tracer.end(span, args={"fault": "hangup"})
             raise PeerResetError("dpti domain owner is dead")
         if size:
-            yield from thread.kwork(kernel_copy_ns(self.kernel, size),
-                                    Block.KERNEL)
-        yield from thread.kwork(costs.DPTI_SWITCH, Block.PTSW)
+            yield from thread.kwork(kernel_copy_ns(self.kernel, size))
+        yield from thread.kwork(costs.DPTI_SWITCH, PTSW)
         self.calls += 1
         self._visiting.append(thread)
         try:
@@ -162,12 +161,11 @@ class DptiEndpoint:
                 tracer.end(span, args={"fault": "hangup"})
             raise PeerResetError("dpti domain owner died mid-call")
         # return leg: tagged switch back, reply copy, half-gate, exit
-        yield from thread.kwork(costs.DPTI_SWITCH, Block.PTSW)
+        yield from thread.kwork(costs.DPTI_SWITCH, PTSW)
         if reply_size:
-            yield from thread.kwork(kernel_copy_ns(self.kernel, reply_size),
-                                    Block.KERNEL)
-        yield from thread.kwork(0.5 * costs.DPTI_KERNEL_PATH, Block.KERNEL)
-        yield from thread.kwork(costs.SYSCALL_HW, Block.SYSCALL)
+            yield from thread.kwork(kernel_copy_ns(self.kernel, reply_size))
+        yield from thread.kwork(0.5 * costs.DPTI_KERNEL_PATH)
+        yield from thread.kwork(costs.SYSCALL_HW, SYSCALL)
         if span is not None:
             tracer.end(span)
         return reply

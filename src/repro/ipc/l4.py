@@ -16,7 +16,7 @@ from typing import Deque, Optional, Tuple
 from repro.errors import KernelError, PeerResetError
 from repro.kernel.effects import Handoff
 from repro.kernel.thread import Thread
-from repro.sim.stats import Block
+from repro.sim.stats import SCHED, SYSCALL
 
 #: wake value delivered to callers when the endpoint's owner dies
 _HANGUP = object()
@@ -70,13 +70,13 @@ class L4Endpoint:
 
     def _entry(self, thread: Thread):
         costs = self.kernel.costs
-        yield from thread.kwork(costs.L4_USER_STUB, Block.USER)
-        yield from thread.kwork(costs.SYSCALL_HW, Block.SYSCALL)
-        yield from thread.kwork(costs.L4_KERNEL_PATH, Block.KERNEL)
+        yield from thread.compute(costs.L4_USER_STUB)
+        yield from thread.kwork(costs.SYSCALL_HW, SYSCALL)
+        yield from thread.kwork(costs.L4_KERNEL_PATH)
 
     def _switch_cost(self, thread: Thread):
         costs = self.kernel.costs
-        yield from thread.kwork(costs.L4_DIRECT_SWITCH, Block.SCHED)
+        yield from thread.kwork(costs.L4_DIRECT_SWITCH, SCHED)
         # the page-table switch itself is charged by the scheduler's
         # handoff when the address space actually changes
 

@@ -15,7 +15,6 @@ from typing import Deque
 from repro import units
 from repro.errors import PeerResetError, PipeBrokenError
 from repro.kernel.thread import Thread
-from repro.sim.stats import Block
 
 PIPE_BUF_SIZE = 64 * units.KB
 
@@ -118,7 +117,7 @@ class Pipe:
                             args={"size": size}) \
             if tracer.enabled else None
         yield from thread.syscall(0)
-        yield from thread.kwork(costs.PIPE_WRITE_WORK, Block.KERNEL)
+        yield from thread.kwork(costs.PIPE_WRITE_WORK)
         if self.reader_gone:
             if span is not None:
                 tracer.end(span, args={"fault": "EPIPE"})
@@ -140,13 +139,13 @@ class Pipe:
                 yield thread.block("pipe-full")
                 continue
             chunk = min(space, remaining)
-            yield from thread.kwork(self._kernel_copy_ns(chunk), Block.KERNEL)
+            yield from thread.kwork(self._kernel_copy_ns(chunk))
             self._bytes += chunk
             message.written += chunk
             remaining -= chunk
             if first_chunk:
                 # waitqueue wake of a sleeping reader (futex-class cost)
-                yield from thread.kwork(costs.FUTEX_WAKE_WORK, Block.KERNEL)
+                yield from thread.kwork(costs.FUTEX_WAKE_WORK)
                 first_chunk = False
             self._wake_one(self._readers, thread)
         message.done_writing = True
@@ -163,7 +162,7 @@ class Pipe:
         span = tracer.begin("pipe.read", "ipc", thread=thread) \
             if tracer.enabled else None
         yield from thread.syscall(0)
-        yield from thread.kwork(costs.PIPE_READ_WORK, Block.KERNEL)
+        yield from thread.kwork(costs.PIPE_READ_WORK)
         while not self._messages:
             if self.closed or self.writer_gone:
                 if span is not None:
@@ -175,8 +174,7 @@ class Pipe:
         while True:
             available = message.written - message.read
             if available > 0:
-                yield from thread.kwork(self._kernel_copy_ns(available),
-                                        Block.KERNEL)
+                yield from thread.kwork(self._kernel_copy_ns(available))
                 self._bytes -= available
                 message.read += available
                 self._wake_one(self._writers, thread)

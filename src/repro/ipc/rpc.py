@@ -18,7 +18,6 @@ from repro.ipc.unixsocket import SocketNamespace, UnixSocket
 from repro.ipc.xdr import XDRCodec
 from repro.kernel.process import Process
 from repro.kernel.thread import Thread
-from repro.sim.stats import Block
 
 _xid = itertools.count(1)
 
@@ -59,7 +58,7 @@ class RpcServer:
             tracer = self.kernel.tracer
             span = tracer.begin("rpc.serve", "ipc", thread=thread) \
                 if tracer.enabled else None
-            yield from thread.kwork(costs.RPC_SERVER_USER, Block.USER)
+            yield from thread.compute(costs.RPC_SERVER_USER)
             body = yield from self.codec.decode(thread, request)
             name = body["proc"]
             if name == _SHUTDOWN:
@@ -127,7 +126,7 @@ class RpcClient:
                             args={"proc": proc, "size": size}) \
             if tracer.enabled else None
         # clnt_call bookkeeping: xid management, timeout setup, retransmit
-        yield from thread.kwork(costs.RPC_CLIENT_USER, Block.USER)
+        yield from thread.compute(costs.RPC_CLIENT_USER)
         wire = yield from self.codec.encode(
             thread, size,
             {"xid": xid, "proc": proc, "args": args,
@@ -158,7 +157,7 @@ class RpcClient:
                 backoff = costs.RPC_RETRY_BACKOFF * (2 ** attempt)
                 attempt += 1
                 self.retransmits += 1
-                yield from thread.kwork(costs.RPC_RETRY_WORK, Block.USER)
+                yield from thread.compute(costs.RPC_RETRY_WORK)
                 yield from thread.sleep(backoff)
             except (PeerResetError, KernelError):
                 if span is not None:

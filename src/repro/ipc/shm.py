@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.kernel.thread import Thread
-from repro.sim.stats import Block
 
 
 class SharedBuffer:
@@ -41,7 +40,7 @@ class SharedBuffer:
         costs = self.kernel.costs
         ns = cache.copy_ns(size, startup=costs.MEMCPY_STARTUP) if extra_copy \
             else cache.touch_ns(size)
-        yield from thread.kwork(ns, Block.USER)
+        yield from thread.compute(ns)
         self.payload = payload
         self.payload_size = size
 
@@ -54,5 +53,5 @@ class SharedBuffer:
         ns = cache.copy_ns(size, startup=costs.MEMCPY_STARTUP) if copy_out \
             else cache.touch_ns(size)
         if ns > 0:
-            yield from thread.kwork(ns, Block.USER)
+            yield from thread.compute(ns)
         return self.payload

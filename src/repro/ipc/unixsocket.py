@@ -13,7 +13,6 @@ from repro import units
 from repro.errors import (KernelError, PeerResetError, ResourceError,
                           SocketTimeout)
 from repro.kernel.thread import Thread
-from repro.sim.stats import Block
 
 SOCK_BUF_SIZE = 208 * units.KB  # net.core.rmem_default ballpark
 
@@ -99,7 +98,7 @@ class UnixSocket:
         (datagram semantics: no blocking on send)."""
         costs = self.kernel.costs
         yield from thread.syscall(0)
-        yield from thread.kwork(costs.SOCK_SEND_WORK, Block.KERNEL)
+        yield from thread.kwork(costs.SOCK_SEND_WORK)
         peer = self.namespace.lookup(path)
         if peer is not None and peer.reset:
             raise PeerResetError(
@@ -108,7 +107,7 @@ class UnixSocket:
             raise KernelError(f"connection refused: {path}")
         if peer._bytes + size > peer.bufsize:
             raise KernelError(f"peer buffer full: {path}")
-        yield from thread.kwork(self._kernel_copy_ns(size), Block.KERNEL)
+        yield from thread.kwork(self._kernel_copy_ns(size))
         peer._queue.append(Datagram(size, payload, self))
         peer._bytes += size
         while peer._receivers:
@@ -129,7 +128,7 @@ class UnixSocket:
         """
         costs = self.kernel.costs
         yield from thread.syscall(0)
-        yield from thread.kwork(costs.SOCK_RECV_WORK, Block.KERNEL)
+        yield from thread.kwork(costs.SOCK_RECV_WORK)
         timer = None
         expired = [False]
         if timeout_ns is not None:
@@ -165,7 +164,7 @@ class UnixSocket:
             self.kernel.engine.cancel(timer)
         dgram = self._queue.popleft()
         self._bytes -= dgram.size
-        yield from thread.kwork(self._kernel_copy_ns(dgram.size), Block.KERNEL)
+        yield from thread.kwork(self._kernel_copy_ns(dgram.size))
         return dgram.payload, dgram.sender
 
     def close(self) -> None:

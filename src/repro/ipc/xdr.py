@@ -9,7 +9,6 @@ overheads that dIPC eliminates by passing references.
 from __future__ import annotations
 
 from repro.kernel.thread import Thread
-from repro.sim.stats import Block
 
 
 class XDRCodec:
@@ -26,11 +25,11 @@ class XDRCodec:
 
     def encode(self, thread: Thread, size: int, payload=None):
         """Sub-generator: serialize ``size`` bytes; returns wire message."""
-        yield from thread.kwork(self._ns(size), Block.USER)
+        yield from thread.compute(self._ns(size))
         return {"size": size, "payload": payload}
 
     def decode(self, thread: Thread, wire):
         """Sub-generator: deserialize a wire message; returns payload."""
         size = wire["size"] if wire else 0
-        yield from thread.kwork(self._ns(size), Block.USER)
+        yield from thread.compute(self._ns(size))
         return wire["payload"] if wire else None

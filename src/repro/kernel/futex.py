@@ -11,7 +11,6 @@ from collections import deque
 from typing import Deque
 
 from repro.kernel.thread import Thread
-from repro.sim.stats import Block
 
 
 class Futex:
@@ -33,7 +32,7 @@ class Futex:
             if tracer.enabled else None
         while True:
             yield from thread.syscall(0)
-            yield from thread.kwork(costs.FUTEX_WAIT_WORK, Block.KERNEL)
+            yield from thread.kwork(costs.FUTEX_WAIT_WORK)
             self.wait_count += 1
             if self.value > 0:
                 self.value -= 1
@@ -42,7 +41,7 @@ class Futex:
                 return
             self._waiters.append(thread)
             yield thread.block("futex")
-            yield from thread.kwork(costs.FUTEX_RESUME, Block.KERNEL)
+            yield from thread.kwork(costs.FUTEX_RESUME)
             if self.value > 0:
                 self.value -= 1
                 if span is not None:
@@ -57,7 +56,7 @@ class Futex:
         span = tracer.begin("futex.wake", "ipc", thread=thread) \
             if tracer.enabled else None
         yield from thread.syscall(0)
-        yield from thread.kwork(costs.FUTEX_WAKE_WORK, Block.KERNEL)
+        yield from thread.kwork(costs.FUTEX_WAKE_WORK)
         self.value += count
         self.wake_count += 1
         woken = 0

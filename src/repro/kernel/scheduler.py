@@ -27,7 +27,7 @@ from repro.kernel.effects import (SUSPENDED, BlockThread, Charge,
                                   Handoff, YieldCPU)
 from repro.kernel import thread as thread_mod
 from repro.kernel.thread import Thread
-from repro.sim.stats import Block
+from repro.sim.stats import PTSW, SCHED
 
 
 class Scheduler:
@@ -46,6 +46,16 @@ class Scheduler:
         self.ipi_wakes = 0
         self.steals = 0
         self.pt_switches = 0
+        # _do_charge and _begin_run write the CPU accounts unchecked, so
+        # refuse the costs that could bill a negative amount: the jitter
+        # factor 1 ± JITTER must stay positive, and PT_SWITCH is billed
+        # as it stands
+        if not 0 <= self.costs.JITTER < 1:
+            raise ValueError(
+                f"JITTER must be in [0, 1), got {self.costs.JITTER!r}")
+        if self.costs.PT_SWITCH < 0:
+            raise ValueError(
+                f"PT_SWITCH must be >= 0, got {self.costs.PT_SWITCH!r}")
         #: seeded timing-noise source (JITTER=0 keeps runs exact)
         self._jitter_rng = random.Random(self.costs.JITTER_SEED) \
             if self.costs.JITTER > 0 else None
@@ -167,16 +177,17 @@ class Scheduler:
         thread.last_cpu_index = cpu.index
         thread.state = thread_mod.RUNNING
         thread.slice_used = 0.0
+        account = cpu.account.ns
         total = 0.0
         if sched_cost > 0:
-            cpu.charge(Block.SCHED, sched_cost)
+            account[SCHED] += sched_cost
             total += sched_cost
         page_table = thread.process.page_table
         if cpu.percpu.get("page_table") is not page_table:
             # the page-table switch of block 6 (plus, on CODOMs, an APL
             # cache swap — free in hardware, so only the PT cost shows)
             if cpu.percpu.get("page_table") is not None:
-                cpu.charge(Block.PTSW, self.costs.PT_SWITCH)
+                account[PTSW] += self.costs.PT_SWITCH
                 total += self.costs.PT_SWITCH
                 self.pt_switches += 1
             cpu.percpu["page_table"] = page_table
@@ -337,6 +348,13 @@ class Scheduler:
         thread's running body. Either way what runs next is the thread's
         own continuation (on True) or the end of the engine event, so
         nothing else can run between the skipped post and its pop.
+
+        The CPU account is written in place, not through ``CPU.charge``
+        and ``Breakdown.add``, so nothing here rejects a negative
+        amount. None can arrive: :meth:`charge` and ``Charge()`` reject
+        ``ns < 0``, both parts of a timeslice split are positive, and
+        ``__init__`` bounds ``JITTER`` to [0, 1), so the jitter factor
+        stays positive.
         """
         billed = thread.current_process
         if self._jitter_rng is not None and ns > 0:
@@ -344,13 +362,13 @@ class Scheduler:
                                                  self.costs.JITTER)
         remaining = self.costs.TIMESLICE - thread.slice_used
         if 0 < remaining < ns and self.runqueues[cpu.index]:
-            cpu.charge(block, remaining)
+            cpu.account.ns[block] += remaining
             billed.cpu_ns += remaining
             thread.slice_used += remaining
             thread.pending_charge = (ns - remaining, block)
             self.engine.post(remaining, lambda: self._preempt(cpu, thread))
             return False
-        cpu.charge(block, ns)
+        cpu.account.ns[block] += ns
         billed.cpu_ns += ns
         thread.slice_used += ns
         if not self.engine.skip_to(ns):

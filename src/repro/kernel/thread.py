@@ -15,17 +15,9 @@ from typing import Callable, Generator, List, Optional
 from repro.codoms.access import CodomsContext
 from repro.errors import SimulationError
 from repro.kernel.effects import BlockThread, YieldCPU
-from repro.sim.stats import Block
+from repro.sim.stats import KERNEL, SYSCALL, TRAMPOLINE, USER, Block
 
 _tid_counter = itertools.count(1)
-
-# the charging helpers' blocks, read once: a ``Block.X`` lookup takes
-# the enum metaclass's slow attribute path, which would otherwise be
-# paid on every charge
-_USER = Block.USER
-_SYSCALL = Block.SYSCALL
-_TRAMPOLINE = Block.TRAMPOLINE
-_KERNEL = Block.KERNEL
 
 NEW = "new"
 RUNNABLE = "runnable"
@@ -98,11 +90,11 @@ class Thread:
         charge cannot complete inside the running body (see
         :mod:`repro.kernel.effects`).
         """
-        effect = self.kernel.scheduler.charge(self, ns, _USER)
+        effect = self.kernel.scheduler.charge(self, ns, USER)
         if effect is not None:
             yield effect
 
-    def kwork(self, ns: float, block: Block = Block.KERNEL):
+    def kwork(self, ns: float, block: Block = KERNEL):
         """Sub-generator: kernel/privileged-mode computation."""
         effect = self.kernel.scheduler.charge(self, ns, block)
         if effect is not None:
@@ -122,14 +114,14 @@ class Thread:
         """
         costs = self.kernel.costs
         charge = self.kernel.scheduler.charge
-        effect = charge(self, costs.SYSCALL_HW, _SYSCALL)
+        effect = charge(self, costs.SYSCALL_HW, SYSCALL)
         if effect is not None:
             yield effect
-        effect = charge(self, costs.SYSCALL_TRAMPOLINE, _TRAMPOLINE)
+        effect = charge(self, costs.SYSCALL_TRAMPOLINE, TRAMPOLINE)
         if effect is not None:
             yield effect
         if work_ns > 0:
-            effect = charge(self, work_ns, _KERNEL)
+            effect = charge(self, work_ns, KERNEL)
             if effect is not None:
                 yield effect
 

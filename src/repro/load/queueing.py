@@ -128,9 +128,8 @@ class AdmissionGate:
         ``"block"`` the thread waits FIFO, re-checking after every wake
         and unhooking itself on any exit path.
         """
-        from repro.sim.stats import Block
         # admission check: a futex-class user/kernel handshake
-        yield from thread.kwork(thread.costs.FUTEX_WAIT_WORK, Block.KERNEL)
+        yield from thread.kwork(thread.costs.FUTEX_WAIT_WORK)
         if self.in_flight < self.depth:
             return self._take()
         if self.policy == "shed":

@@ -5,6 +5,8 @@ import pytest
 
 from repro.experiments.microbench import bench_dipc, bench_sem
 from repro.hw.costs import CostModel
+from repro.hw.machine import Machine
+from repro.kernel import Kernel
 
 
 def test_default_is_deterministic():
@@ -45,3 +47,13 @@ def test_jittered_mean_stays_on_target():
         if False else bench_dipc(policy="high", cross_process=True,
                                  iters=40, costs=noisy)
     assert result.mean_ns == pytest.approx(106.9, rel=0.03)
+
+
+@pytest.mark.parametrize("jitter", [-0.1, 1.0, 1.5])
+def test_jitter_outside_zero_to_one_is_rejected(jitter):
+    """The jitter factor 1 ± JITTER must stay positive, because the
+    scheduler bills CPU accounts in place without a sign check; a bound
+    outside [0, 1) is refused when the kernel is built, not left to
+    crash a simulated thread (or corrupt an account) mid-run."""
+    with pytest.raises(ValueError, match="JITTER"):
+        Kernel(Machine(2, costs=CostModel(JITTER=jitter)))

@@ -83,6 +83,13 @@ def test_cli_chaos_writes_log_and_verifies(tmp_path, capsys):
     assert log.startswith("# chaos seed=3 storms=1 quick=1\n")
 
 
+def test_cli_run_chaos_takes_the_seed(capsys):
+    assert main(["run", "chaos", "--quick", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "chaos: seed=3 storms=2" in out
+    assert "chaos: seed=7" not in out
+
+
 def test_cli_trace_alias_is_gone(capsys):
     # ``trace <name>`` was an alias of ``run <name> --trace``
     assert main(["trace", "fig05"]) == 2

@@ -15,6 +15,8 @@ clock alone, and every case in which ``Scheduler.charge`` must refuse
 to charge inline or must suspend the thread.
 """
 
+import sys
+
 import pytest
 
 from repro.kernel import Kernel
@@ -596,6 +598,10 @@ def test_charge_split_at_the_timeslice_suspends(monkeypatch):
     assert kernel.scheduler.preemptions == 1
     assert [who for who, _when in seen[1:]] == ["other done", "hog done"]
     assert proc.cpu_ns == 100 + 2 * slice_ns + 10
+    # both parts of the split are billed to the CPU account too, which
+    # is what Figures 1, 2 and 8 read
+    assert kernel.machine.cpus[0].account.ns[Block.USER] == \
+        100 + 2 * slice_ns + 10
 
 
 def test_refused_skip_posts_one_after_charge(monkeypatch):
@@ -628,3 +634,47 @@ def test_refused_skip_posts_one_after_charge(monkeypatch):
                         ("done", start + 1_050)]
     assert len(after_charges) == 1
     assert proc.cpu_ns == 1_150
+
+
+# -- the inline charge's host cost, counted ---------------------------------
+
+def _python_calls(charges):
+    """Python-level calls (``sys.setprofile`` call events) of a run in
+    which one thread, alone on one CPU with an empty event heap, makes
+    ``charges`` inline ``compute(10)`` charges."""
+    kernel = Kernel(num_cpus=1)
+
+    def body(t):
+        for _ in range(charges):
+            yield from t.compute(10)
+
+    thread = kernel.spawn(kernel.spawn_process("p"), body)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        kernel.run()
+    finally:
+        sys.setprofile(None)
+    assert thread.is_done and thread.exception is None
+    assert kernel.machine.cpus[0].account.ns[Block.USER] == 10 * charges
+    return calls
+
+
+def test_inline_charge_python_calls():
+    """The charge path's floor, counted rather than timed.
+
+    A fast-forwarded inline charge runs four Python functions:
+    ``Thread.compute``, ``Scheduler.charge``, ``_do_charge`` and
+    ``Engine.skip_to``. ``_do_charge`` writes the CPU account in place,
+    so billing through ``CPU.charge`` and ``Breakdown.add`` again (six
+    calls) fails here, as does any other call added to the path.
+    """
+    charges = 2_000
+    extra = _python_calls(charges) - _python_calls(0)
+    assert extra <= 4 * charges

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.hw.costs import CostModel
+from repro.hw.machine import Machine
 from repro.kernel import Kernel
 from repro.sim.stats import Block
 
@@ -54,6 +56,13 @@ def test_no_page_table_switch_within_one_process(kernel, proc):
     kernel.spawn(proc, body, pin=0)
     kernel.run()
     assert kernel.machine.cpus[0].account.ns[Block.PTSW] == 0
+
+
+def test_negative_page_table_switch_cost_is_rejected():
+    # the scheduler bills PT_SWITCH into the CPU account without a sign
+    # check, so a negative cost is refused when the kernel is built
+    with pytest.raises(ValueError, match="PT_SWITCH"):
+        Kernel(Machine(2, costs=CostModel(PT_SWITCH=-1.0)))
 
 
 def test_timeslice_preemption_interleaves_cpu_hogs(kernel, proc):

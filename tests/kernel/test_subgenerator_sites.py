@@ -1,4 +1,4 @@
-"""Static guard: the charging helpers are always used with ``yield from``.
+"""Static guards on the charge sites.
 
 ``Thread.compute``, ``Thread.kwork`` and ``Thread.syscall`` are
 sub-generators. A body that yields one bare (``yield t.compute(5)``)
@@ -6,6 +6,12 @@ hands the scheduler a generator object instead of an effect, which
 crashes only the thread that reaches that line ("yielded a
 non-effect"); in a rarely taken branch that would surface as a wrong
 figure, not a failing test. This scans every module of the project.
+
+A charge site also never passes ``Block.<member>``: that lookup takes
+the enum metaclass's slow attribute path (about 100 ns) on every call.
+``compute`` and ``kwork`` already default to the USER and KERNEL
+blocks, and ``repro.sim.stats`` holds every block as a module global.
+This scans ``src/``.
 """
 
 import ast
@@ -16,6 +22,9 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 SCANNED = ("src", "tests", "examples")
 HELPERS = ("compute", "kwork", "syscall")
+#: every call that takes a block: the helpers, ``Scheduler.charge`` and
+#: ``CPU.charge``
+CHARGERS = HELPERS + ("charge",)
 
 
 def _helper_yields(source: str, filename: str = "<string>"):
@@ -32,6 +41,28 @@ def _helper_yields(source: str, filename: str = "<string>"):
             found.append((node.lineno, call.func.attr,
                           isinstance(node, ast.Yield)))
     return found
+
+
+def _charge_sites(source: str, filename: str = "<string>"):
+    """``(line, name, member)`` for every call of a ``CHARGERS`` name in
+    ``source``; ``member`` names the ``Block.<member>`` argument, or is
+    None when the call passes none."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) \
+            else getattr(func, "id", None)
+        if name not in CHARGERS:
+            continue
+        members = [arg.attr for arg in
+                   [*node.args, *(kw.value for kw in node.keywords)]
+                   if isinstance(arg, ast.Attribute)
+                   and isinstance(arg.value, ast.Name)
+                   and arg.value.id == "Block"]
+        found.append((node.lineno, name, members[0] if members else None))
+    return sorted(found, key=lambda site: site[0])
 
 
 def _project_files():
@@ -84,3 +115,31 @@ def test_a_bare_yield_crashes_only_its_thread(helper):
     kernel.run()
     assert isinstance(thread.exception, TypeError)
     assert "yielded a non-effect" in str(thread.exception)
+
+
+def test_guard_flags_a_block_member_argument():
+    source = ("def body(t, cpu):\n"
+              "    yield from t.kwork(5, Block.USER)\n"
+              "    yield from t.kwork(5, SYSCALL)\n"
+              "    cpu.charge(block=Block.IDLE, ns=5)\n"
+              "    yield from t.compute(5)\n")
+    assert _charge_sites(source) == [(2, "kwork", "USER"),
+                                     (3, "kwork", None),
+                                     (4, "charge", "IDLE"),
+                                     (5, "compute", None)]
+
+
+def test_no_charge_site_looks_up_a_block_member():
+    sites = 0
+    lookups = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for line, name, member in _charge_sites(path.read_text(),
+                                                str(path)):
+            sites += 1
+            if member is not None:
+                lookups.append(f"{path.relative_to(ROOT)}:{line}: "
+                               f".{name}(..., Block.{member}) needs "
+                               f"the module global {member}")
+    assert not lookups, "\n".join(lookups)
+    # the scan really saw the project's charge sites
+    assert sites > 100
